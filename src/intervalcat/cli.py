@@ -47,6 +47,14 @@ def _positive(name: str, value: int) -> int:
     return value
 
 
+def _report_skipped_verification(scope: str, n: int) -> None:
+    print(
+        f"verification skipped{scope}: the subset sweep at n={n} needs {universe_size(n)} bits, "
+        f"cap is {BRUTE_CAP_BITS}",
+        file=sys.stderr,
+    )
+
+
 def cmd_count(args: argparse.Namespace) -> int:
     spec = _parse_ops(args.ops)
     n = _positive("--n", args.n)
@@ -59,7 +67,9 @@ def cmd_count(args: argparse.Namespace) -> int:
         count = shard_count(n, spec, args.shards)
     else:
         count = count_next_closure(n, spec)
-    if args.verify and universe_size(n) <= BRUTE_CAP_BITS:
+    if args.verify and universe_size(n) > BRUTE_CAP_BITS:
+        _report_skipped_verification("", n)
+    elif args.verify:
         reference = count_brute(n, spec)
         if reference != count:
             print(
@@ -79,7 +89,8 @@ def cmd_sequence(args: argparse.Namespace) -> int:
     if args.verify:
         for n, count in report.terms:
             if universe_size(n) > BRUTE_CAP_BITS:
-                continue
+                _report_skipped_verification(f" for n >= {n}", n)
+                break
             reference = count_brute(n, spec)
             if reference != count:
                 print(f"verification failed at n={n}: {count} vs {reference}", file=sys.stderr)

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .intervals import (
     Interval,
@@ -189,7 +189,7 @@ class RuleTable:
     table without changing the closure operator.
     """
 
-    __slots__ = ("n", "spec", "size", "_prem", "_conc", "_by_elem", "_np_rules")
+    __slots__ = ("n", "spec", "size", "_prem", "_conc", "_by_elem")
 
     def __init__(self, n: int, spec: ClosureSpec):
         self.n = n
@@ -198,7 +198,6 @@ class RuleTable:
         self._prem: list[int] = []
         self._conc: list[int] = []
         self._by_elem: list[list[int]] = [[] for _ in range(self.size)]
-        self._np_rules = None
         for inst in rule_instances(n, spec):
             pmask = _mask_of(inst.premises)
             cmask = _mask_of(inst.conclusions)
@@ -260,15 +259,9 @@ class RuleTable:
                 return False
         return True
 
-    def numpy_rules(self):
-        """Rule masks as int64 arrays, for the vectorised subset sweep."""
-        if self._np_rules is None:
-            import numpy as np
-
-            prem = np.array(self._prem, dtype=np.int64)
-            conc = np.array(self._conc, dtype=np.int64)
-            self._np_rules = (prem, conc)
-        return self._np_rules
+    def rules(self) -> Iterator[tuple[int, int]]:
+        """The kept rules as (premise mask, conclusion mask); the two are disjoint."""
+        return zip(self._prem, self._conc)
 
 
 def _mask_of(ivs: Iterable[Interval]) -> int:

@@ -190,12 +190,6 @@ def kernel_rep(f: RepMorphism) -> Representation:
     return Representation(f.n, dims, tuple(maps))
 
 
-def kernel_inclusion(f: RepMorphism) -> RepMorphism:
-    """The inclusion of the vertexwise kernel into the source."""
-    incls = tuple(f.blocks[v].kernel_basis() for v in range(f.n))
-    return RepMorphism(kernel_rep(f), f.source, incls)
-
-
 def cokernel_rep(f: RepMorphism) -> Representation:
     """Vertexwise cokernel with the induced arrow maps."""
     projs = [f.blocks[v].left_kernel_basis() for v in range(f.n)]

@@ -103,3 +103,21 @@ def closed_masks(n: int, *rule_sets: dict[int, int]) -> set[int]:
         for premise, conclusion in rules.items():
             ok &= ((masks & premise) != premise) | ((masks & conclusion) == conclusion)
     return {int(m) for m in masks[ok]}
+
+
+def hasse_covers(masks: list[int]) -> tuple[tuple[int, int], ...]:
+    """Sorted (lower, upper) index pairs of the cover relation of inclusion.
+
+    A plain pairwise transitive reduction: i is covered by j when mask i is
+    a proper subset of mask j and no third mask lies strictly between.
+    """
+
+    def below(a: int, b: int) -> bool:
+        return a != b and a & ~b == 0
+
+    return tuple(
+        (i, j)
+        for i, a in enumerate(masks)
+        for j, b in enumerate(masks)
+        if below(a, b) and not any(below(a, c) and below(c, b) for c in masks)
+    )

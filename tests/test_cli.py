@@ -30,8 +30,18 @@ def test_count_brute_and_shards(capsys):
 
 
 def test_count_verify(capsys):
-    code, out, _ = run(capsys, "count", "--n", "3", "--ops", "E", "--verify")
-    assert code == 0 and out == "34\n"
+    code, out, err = run(capsys, "count", "--n", "3", "--ops", "E", "--verify")
+    assert code == 0 and out == "34\n" and err == ""
+
+
+def test_verify_skipped_above_cap_is_reported(capsys):
+    # n = 7 has 28 intervals, above the 24-bit cap of the subset sweep
+    code, out, err = run(capsys, "count", "--n", "7", "--ops", "QSE", "--verify")
+    assert code == 0 and out == "128\n"
+    assert err == "verification skipped: the subset sweep at n=7 needs 28 bits, cap is 24\n"
+    code, out, err = run(capsys, "sequence", "--ops", "QSE", "--n-max", "8", "--verify", "--format", "csv")
+    assert code == 0 and out.splitlines()[-2:] == ["7,128", "8,256"]
+    assert err == "verification skipped for n >= 7: the subset sweep at n=7 needs 28 bits, cap is 24\n"
 
 
 def test_invalid_ops_exit_2(capsys):

@@ -21,6 +21,8 @@ from intervalcat import (
     shard_count,
 )
 
+from helpers import hasse_covers
+
 
 def spec(text: str) -> ClosureSpec:
     return ClosureSpec.parse(text)
@@ -45,7 +47,7 @@ def test_brute_cap():
 
 
 def test_brute_equals_next_closure_all_specs():
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 5):
         for s in ClosureSpec.all_specs():
             assert count_brute(n, s) == count_next_closure(n, s), (n, str(s))
 
@@ -205,6 +207,12 @@ class TestLattice:
                     and masks[k] not in (masks[lo], masks[hi])
                 )
                 assert not between
+
+    def test_covers_equal_pairwise_reference_all_specs(self):
+        for n in (1, 2, 3):
+            for s in ClosureSpec.all_specs():
+                fam = lattice(n, s)
+                assert fam.covers == hasse_covers([m.mask for m in fam.members]), (n, str(s))
 
     def test_cap(self):
         with pytest.raises(CapExceeded):
