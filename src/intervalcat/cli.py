@@ -55,6 +55,13 @@ def _report_skipped_verification(scope: str, n: int) -> None:
     )
 
 
+def _cross_check(algorithm: str, n: int, spec: ClosureSpec) -> tuple[str, int]:
+    """The count from the other algorithm than ``algorithm``, with its name."""
+    if algorithm == "brute":
+        return "next-closure", count_next_closure(n, spec)
+    return "brute", count_brute(n, spec)
+
+
 def cmd_count(args: argparse.Namespace) -> int:
     spec = _parse_ops(args.ops)
     n = _positive("--n", args.n)
@@ -70,12 +77,9 @@ def cmd_count(args: argparse.Namespace) -> int:
     if args.verify and universe_size(n) > BRUTE_CAP_BITS:
         _report_skipped_verification("", n)
     elif args.verify:
-        reference = count_brute(n, spec)
+        other, reference = _cross_check(args.algorithm, n, spec)
         if reference != count:
-            print(
-                f"verification failed: {count} from {args.algorithm}, {reference} from the subset sweep",
-                file=sys.stderr,
-            )
+            print(f"verification failed: {count} from {args.algorithm}, {reference} from {other}", file=sys.stderr)
             return 1
     print(count)
     return 0
@@ -91,9 +95,12 @@ def cmd_sequence(args: argparse.Namespace) -> int:
             if universe_size(n) > BRUTE_CAP_BITS:
                 _report_skipped_verification(f" for n >= {n}", n)
                 break
-            reference = count_brute(n, spec)
+            other, reference = _cross_check(args.algorithm, n, spec)
             if reference != count:
-                print(f"verification failed at n={n}: {count} vs {reference}", file=sys.stderr)
+                print(
+                    f"verification failed at n={n}: {count} from {args.algorithm}, {reference} from {other}",
+                    file=sys.stderr,
+                )
                 return 1
     if args.format == "csv":
         sys.stdout.write(report.to_csv(reference=args.compare))
@@ -141,7 +148,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_lattice(args: argparse.Namespace) -> int:
     spec = _parse_ops(args.ops)
     n = _positive("--n", args.n)
-    fam = lattice(n, spec, max_members=args.max_members)
+    max_members = _positive("--max-members", args.max_members)
+    fam = lattice(n, spec, max_members=max_members)
     if args.format == "json":
         print(json.dumps(fam.to_json_dict(), sort_keys=True))
     else:
@@ -210,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_ops(c)
     c.add_argument("--algorithm", choices=("next-closure", "brute"), default="next-closure")
     c.add_argument("--shards", type=int, default=1, help="split the enumeration into prefix blocks")
-    c.add_argument("--verify", action="store_true", help="cross-run the subset sweep when under the bit cap")
+    c.add_argument("--verify", action="store_true", help="cross-check against the other algorithm")
     c.set_defaults(func=cmd_count)
 
     s = sub.add_parser("sequence", help="counts for n = 1..n_max")
@@ -219,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--format", choices=("table", "csv", "json", "oeis"), default="table")
     s.add_argument("--algorithm", choices=("next-closure", "brute"), default="next-closure")
     s.add_argument("--compare", action="store_true", help="append closed-form reference values where known")
-    s.add_argument("--verify", action="store_true", help="cross-run the subset sweep when under the bit cap")
+    s.add_argument("--verify", action="store_true", help="cross-check against the other algorithm")
     s.set_defaults(func=cmd_sequence)
 
     l = sub.add_parser("list", help="print every closed set in lectic order")

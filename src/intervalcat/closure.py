@@ -26,10 +26,19 @@ follows.
   n >= 2k - 1: at most two for n <= 4, at most three for n <= 6.  The
   cokernel of such a chain is [b+1, d_k] (zero when b = d_k) plus the
   [c_{j+1}, d_j] for j < k, each a summand of the cokernel of
-  x -> y_j + y_{j+1}; that is why the rules below stop at two targets.
+  x -> y_j + y_{j+1}.
 - Kernels follow by duality: ker(X -> Y1 + Y2) = ker(ker(X -> Y1) -> Y2)
   reduces several targets to one, and the order-reversing involution turns
   the nested-target argument into a nested-source one.
+
+The generated rules follow these reductions:
+
+- Two-target cokernel and two-source kernel rules are emitted only for
+  strictly nested pairs: a non-nested pair reduces by a shear to the
+  single-target (single-source) rule.
+- No C rules when Q is chosen: a cokernel of a map into a sum is a
+  quotient of that sum, and quotients of sums reduce to single summands.
+- No K rules when S is chosen, by the dual argument.
 
 These bounds are what the acceptance suite's oracle certificate relies on:
 for n <= 4 it compares the C and CK closed families with those of Horn
@@ -130,13 +139,34 @@ class RuleInstance:
         )
 
 
-def rule_instances(n: int, spec: ClosureSpec) -> tuple[RuleInstance, ...]:
-    """The complete finite rule set for (n, spec).
+def _essential_flags(spec: ClosureSpec) -> frozenset:
+    """The spec's flags without C under Q and without K under S.
 
-    Conclusions that already appear among the premises are dropped, as are
-    zero objects; instances left with no conclusions are omitted.
+    Quotient closure implies cokernel closure and subobject closure implies
+    kernel closure, so dropping these flags changes no closed set.
+    """
+    flags = set(spec.flags)
+    if "Q" in flags:
+        flags.discard("C")
+    if "S" in flags:
+        flags.discard("K")
+    return frozenset(flags)
+
+
+def _strictly_nested(u: Interval, v: Interval) -> bool:
+    return (u.a < v.a and v.b < u.b) or (v.a < u.a and u.b < v.b)
+
+
+def rule_instances(n: int, spec: ClosureSpec) -> tuple[RuleInstance, ...]:
+    """A finite rule set whose closure operator is that of (n, spec).
+
+    Only the instances the module docstring's reductions leave are
+    generated.  Conclusions that already appear among the premises are
+    dropped, as are zero objects; instances left with no conclusions are
+    omitted.
     """
     ivs = all_intervals(n)
+    flags = _essential_flags(spec)
     merged: dict[tuple[str, frozenset], set] = {}
 
     def add(tag: str, premises: Iterable[Interval], conclusions: Iterable[Interval]) -> None:
@@ -146,13 +176,13 @@ def rule_instances(n: int, spec: ClosureSpec) -> tuple[RuleInstance, ...]:
             return
         merged.setdefault((tag, prem), set()).update(conc)
 
-    if "Q" in spec:
+    if "Q" in flags:
         for x in ivs:
             add("Q", [x], quotients(x))
-    if "S" in spec:
+    if "S" in flags:
         for x in ivs:
             add("S", [x], subobjects(x))
-    if "E" in spec:
+    if "E" in flags:
         for lower in ivs:
             for upper in ivs:
                 middle = ext_middle(upper, lower)
@@ -160,22 +190,24 @@ def rule_instances(n: int, spec: ClosureSpec) -> tuple[RuleInstance, ...]:
                     continue
                 y, yp = middle
                 add("E", [lower, upper], [y] if yp is None else [y, yp])
-    if "C" in spec:
+    if "C" in flags:
         for x in ivs:
             targets = [y for y in ivs if hom_dim(x, y)]
             for y in targets:
                 add("C", [x, y], cokernel_single(x, y))
             for i, y1 in enumerate(targets):
-                for y2 in targets[i:]:
-                    add("C", [x, y1, y2], cokernel_pair(x, y1, y2))
-    if "K" in spec:
+                for y2 in targets[i + 1:]:
+                    if _strictly_nested(y1, y2):
+                        add("C", [x, y1, y2], cokernel_pair(x, y1, y2))
+    if "K" in flags:
         for x in ivs:
             sources = [y for y in ivs if hom_dim(y, x)]
             for y in sources:
                 add("K", [y, x], kernel_single(y, x))
             for i, y1 in enumerate(sources):
-                for y2 in sources[i:]:
-                    add("K", [y1, y2, x], kernel_pair(y1, y2, x))
+                for y2 in sources[i + 1:]:
+                    if _strictly_nested(y1, y2):
+                        add("K", [y1, y2, x], kernel_pair(y1, y2, x))
     out = [RuleInstance(prem, frozenset(conc), tag) for (tag, prem), conc in merged.items()]
     out.sort(key=RuleInstance.sort_key)
     return tuple(out)

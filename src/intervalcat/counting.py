@@ -20,7 +20,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .closure import ClosureSpec, RuleTable, build_table
+from .closure import ClosureSpec, RuleTable, _essential_flags, build_table
 from .errors import CapExceeded
 from .intervals import IntervalSet, _iter_bits, universe_size
 
@@ -138,12 +138,7 @@ def reference_sequence(spec: ClosureSpec, n: int) -> Optional[int]:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    flags = set(spec.flags)
-    if "Q" in flags:
-        flags.discard("C")
-    if "S" in flags:
-        flags.discard("K")
-    key = "".join(sorted(flags))
+    key = "".join(sorted(_essential_flags(spec)))
     catalan = comb(2 * n + 2, n + 1) // (n + 2)
     table = {
         "EQS": 2**n,

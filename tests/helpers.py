@@ -8,14 +8,24 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from intervalcat import (
+    ClosureSpec,
     FinitePoset,
     Interval,
     IntervalSet,
+    RuleInstance,
     all_intervals,
     barcode,
+    cokernel_pair,
+    cokernel_single,
+    ext_middle,
+    hom_dim,
     hom_space_dim,
+    kernel_pair,
+    kernel_single,
     module_of,
     morphism_between_sums,
+    quotients,
+    subobjects,
     universe_size,
 )
 
@@ -55,6 +65,56 @@ def random_morphism_coeffs(rng: random.Random, sources, targets):
             if hom_dim(s, t) and rng.random() < 0.6:
                 coeffs[(i, j)] = 1
     return coeffs
+
+
+def full_rule_instances(n: int, spec: ClosureSpec) -> tuple[RuleInstance, ...]:
+    """Every one- and two-summand rule instance of the spec, unreduced.
+
+    The reference for the engine's generator: every target pair (source
+    pair for kernels), nested or not, and the C and K blocks whatever Q and
+    S are.  Instances with the same tag and premises are merged, and the
+    result is sorted as the engine's rules are.
+    """
+    ivs = all_intervals(n)
+    merged: dict[tuple[str, frozenset], set] = {}
+
+    def add(tag: str, premises, conclusions) -> None:
+        prem = frozenset(premises)
+        conc = set(conclusions) - prem
+        if conc:
+            merged.setdefault((tag, prem), set()).update(conc)
+
+    for x in ivs:
+        if "Q" in spec:
+            add("Q", [x], quotients(x))
+        if "S" in spec:
+            add("S", [x], subobjects(x))
+        if "E" in spec:
+            for upper in ivs:
+                middle = ext_middle(upper, x)
+                if middle is not None:
+                    y, yp = middle
+                    add("E", [x, upper], [y] if yp is None else [y, yp])
+        if "C" in spec:
+            targets = [y for y in ivs if hom_dim(x, y)]
+            for i, y1 in enumerate(targets):
+                add("C", [x, y1], cokernel_single(x, y1))
+                for y2 in targets[i:]:
+                    add("C", [x, y1, y2], cokernel_pair(x, y1, y2))
+        if "K" in spec:
+            sources = [y for y in ivs if hom_dim(y, x)]
+            for i, y1 in enumerate(sources):
+                add("K", [y1, x], kernel_single(y1, x))
+                for y2 in sources[i:]:
+                    add("K", [y1, y2, x], kernel_pair(y1, y2, x))
+    out = [RuleInstance(prem, frozenset(conc), tag) for (tag, prem), conc in merged.items()]
+    out.sort(key=RuleInstance.sort_key)
+    return tuple(out)
+
+
+def rule_masks(n: int, rule: RuleInstance) -> tuple[int, int]:
+    """The (premise mask, conclusion mask) of one rule instance."""
+    return IntervalSet.of(n, rule.premises).mask, IntervalSet.of(n, rule.conclusions).mask
 
 
 def oracle_horn_rules(n: int, rep_of, max_sources: int, max_targets: int) -> dict[int, int]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+from intervalcat import cli
 from intervalcat.cli import main
 
 
@@ -42,6 +43,17 @@ def test_verify_skipped_above_cap_is_reported(capsys):
     code, out, err = run(capsys, "sequence", "--ops", "QSE", "--n-max", "8", "--verify", "--format", "csv")
     assert code == 0 and out.splitlines()[-2:] == ["7,128", "8,256"]
     assert err == "verification skipped for n >= 7: the subset sweep at n=7 needs 28 bits, cap is 24\n"
+
+
+def test_brute_verify_cross_checks_next_closure(capsys, monkeypatch):
+    # a wrong next-closure count must surface: brute is checked against it, not against itself
+    monkeypatch.setattr(cli, "count_next_closure", lambda n, spec: -1)
+    code, _, err = run(capsys, "count", "--n", "3", "--ops", "CK", "--algorithm", "brute", "--verify")
+    assert code == 1
+    assert err == "verification failed: 22 from brute, -1 from next-closure\n"
+    code, _, err = run(capsys, "sequence", "--ops", "CK", "--n-max", "3", "--algorithm", "brute", "--verify")
+    assert code == 1
+    assert err == "verification failed at n=1: 2 from brute, -1 from next-closure\n"
 
 
 def test_invalid_ops_exit_2(capsys):
@@ -139,6 +151,13 @@ def test_lattice_json_matches_count(capsys):
 def test_lattice_cap_exit_3(capsys):
     code, _, _ = run(capsys, "lattice", "--n", "3", "--ops", "", "--max-members", "5")
     assert code == 3
+
+
+def test_lattice_nonpositive_cap_exit_2(capsys):
+    for cap in ("0", "-3"):
+        code, _, err = run(capsys, "lattice", "--n", "2", "--ops", "Q", "--max-members", cap)
+        assert code == 2
+        assert err == f"error: --max-members must be >= 1, got {cap}\n"
 
 
 def test_poset_report(capsys, tmp_path):

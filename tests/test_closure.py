@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from intervalcat import (
@@ -18,11 +19,12 @@ from intervalcat import (
     kernel_rep,
     morphism_between_sums,
     rule_instances,
+    universe_size,
 )
 from intervalcat.closure import build_table
 from intervalcat.oracle import cokernel_rep as _coker, generated_submodule, sum_of
 
-from helpers import random_morphism_coeffs, random_set, random_sum_members
+from helpers import full_rule_instances, random_morphism_coeffs, random_set, random_sum_members, rule_masks
 
 
 class TestClosureSpec:
@@ -158,17 +160,51 @@ def test_table_pruning_keeps_operator():
         for spec_str in ("C", "CK", "QSCKE", "E"):
             spec = ClosureSpec.parse(spec_str)
             table = build_table(n, spec)
+            full = full_rule_instances(n, spec)
             for _ in range(50):
                 s = random_set(rng, n)
                 slow = set(s.members)
                 changed = True
                 while changed:
                     changed = False
-                    for r in rule_instances(n, spec):
+                    for r in full:
                         if r.premises <= slow and not r.conclusions <= slow:
                             slow |= r.conclusions
                             changed = True
                 assert IntervalSet(n, table.closure(s.mask)) == IntervalSet.of(n, slow)
+
+
+def test_reduced_rules_keep_operator_exhaustively():
+    # table closure of every subset equals the fixpoint of the unreduced rules
+    for n in range(1, 5):
+        subsets = np.arange(1 << universe_size(n), dtype=np.int64)
+        for spec in ClosureSpec.all_specs():
+            table = build_table(n, spec)
+            full = [rule_masks(n, r) for r in full_rule_instances(n, spec)]
+            slow = subsets.copy()
+            changed = True
+            while changed:
+                before = slow.copy()
+                for p, c in full:
+                    slow[(slow & p) == p] |= c
+                changed = bool((slow != before).any())
+            fast = [table.closure(int(m)) for m in subsets]
+            assert fast == slow.tolist(), (n, str(spec))
+
+
+def test_full_rules_hold_in_table_closure():
+    # every unreduced rule is derivable from the generated ones; the unreduced
+    # rules of a spec are the union of those of its single flags
+    for n in range(1, 8):
+        full = {
+            flag: [rule_masks(n, r) for r in full_rule_instances(n, ClosureSpec.parse(flag))]
+            for flag in "QSCKE"
+        }
+        for spec in ClosureSpec.all_specs():
+            table = build_table(n, spec)
+            for flag in spec.flags:
+                for p, c in full[flag]:
+                    assert table.closure(p) & c == c, (n, str(spec), flag, p)
 
 
 class TestSemanticSoundness:
