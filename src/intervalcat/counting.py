@@ -1,13 +1,38 @@
 """Counting and enumerating closed interval sets.
 
-Two independent counting paths are kept side by side.  The subset sweep
-(the cross-check, usable while the universe fits a bit cap) holds one
-boolean per subset, 2^size bytes, and strikes out every subset that
-breaks a rule through strided views of that array; it makes no closure
-calls.  Next-Closure enumeration walks only the closed sets in lectic
-order and scales to the interesting ambient sizes.  A prefix-block
-variant partitions the lectic stream for sharded counting.  Hasse covers
-of a closed family are found with bitmaps over member indices.
+Three counting paths are kept, each where it serves best.
+
+- The layer transfer (``count_layers``) is the engine of ``count`` and
+  ``sequence``.  Layer k is the k intervals [a, k]; their canonical indices
+  k(k-1)/2 .. k(k+1)/2 - 1 do not depend on n, so the closed sets of level
+  k+1 are the sets X | L with X closed at level k and L in the family
+  F(X), the layers for which X | L is closed.  Sets with equal families
+  are merged into one state.  One run gives every term up to n_max, from
+  the one rule table of n_max: a rule instance depends only on the
+  endpoints of its intervals, and every kept rule concludes only intervals
+  within the level of its largest premise endpoint, so that table closes a
+  set of the first k levels exactly as the table of k would.
+- Next-Closure enumeration walks every closed set in lectic order.  It is
+  the engine of ``list`` and ``lattice`` and the second algorithm that the
+  layer transfer is compared with.
+- The subset sweep (the cross-check of both, usable while the universe fits
+  a bit cap) holds one boolean per subset, 2^size bytes, and strikes out
+  every subset that breaks a rule through strided views of that array; it
+  makes no closure calls.
+
+The merge of the layer transfer is exact when equal families imply equal
+next families: then, by induction on the level, the number of closed sets
+with each family is the sum over states of multiplicity times the number of
+layers leading to it.  No proof of that condition is known here.  The test
+suite checks it on every closed set, not only on representatives, for all
+non-empty specs through level 6, which makes the counts for n <= 6 exact; it
+says nothing about larger n.  There the counts are backed by Next-Closure
+where it was run, by closed forms, and for C against K by the dual spec's
+run, which merges differently (1,430 states against 6,336 at n = 8).  The
+empty spec has no rules, so its family is every subset of the layer and a
+single state carries every set.
+
+Hasse covers of a closed family are found with bitmaps over member indices.
 """
 
 from __future__ import annotations
@@ -28,7 +53,9 @@ BRUTE_CAP_BITS = 24
 LATTICE_CAP = 4096
 
 
-def _lectic_masks(table: RuleTable, fixed_bits: int = 0, prefix: int = 0) -> Iterator[int]:
+def _lectic_masks(
+    table: RuleTable, fixed_bits: int = 0, prefix: int = 0, size: Optional[int] = None
+) -> Iterator[int]:
     """Closed sets in lectic order, restricted to a fixed membership prefix.
 
     The lectic order is induced by the canonical interval index: candidates
@@ -36,10 +63,13 @@ def _lectic_masks(table: RuleTable, fixed_bits: int = 0, prefix: int = 0) -> Ite
     no new element below i appears.  With ``fixed_bits`` > 0 only closed sets
     whose membership pattern on indices < fixed_bits equals ``prefix`` are
     produced; index i < fixed_bits is never used as a candidate, so each
-    prefix block yields a contiguous slice of the unrestricted stream.
+    prefix block yields a contiguous slice of the unrestricted stream.  With
+    ``size`` only indices below it are candidates; when ``size`` ends a
+    level, the sets produced are the closed sets of that level (see the
+    module docstring).
     """
     closure = table.closure
-    size = table.size
+    size = table.size if size is None else size
     window = (1 << fixed_bits) - 1
     current = closure(prefix)
     if current & window != prefix:
@@ -62,32 +92,69 @@ def _lectic_masks(table: RuleTable, fixed_bits: int = 0, prefix: int = 0) -> Ite
         yield current
 
 
-def _shard_layout(size: int, shards: int) -> tuple[int, list[int]]:
-    """Prefix width and the prefix values in lectic order."""
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    t = 0 if shards == 1 else min(size, (shards - 1).bit_length())
-    prefixes = sorted(range(1 << t), key=lambda p: sum(((p >> i) & 1) << (t - 1 - i) for i in range(t)))
-    return t, prefixes
-
-
-def iter_closed_sets(n: int, spec: ClosureSpec, shards: int = 1) -> Iterator[IntervalSet]:
-    """All closed sets for (n, spec) in lectic order.
-
-    With shards > 1 the stream is produced block by block in prefix order,
-    which concatenates to exactly the single-shard stream.
-    """
+def iter_closed_sets(n: int, spec: ClosureSpec) -> Iterator[IntervalSet]:
+    """All closed sets for (n, spec) in lectic order."""
     table = build_table(n, spec)
-    t, prefixes = _shard_layout(table.size, shards)
-    for p in prefixes:
-        for mask in _lectic_masks(table, t, p):
-            yield IntervalSet(n, mask)
+    for mask in _lectic_masks(table):
+        yield IntervalSet(n, mask)
 
 
 def count_next_closure(n: int, spec: ClosureSpec) -> int:
     """Number of closed sets, by Next-Closure enumeration."""
     table = build_table(n, spec)
     return sum(1 for _ in _lectic_masks(table))
+
+
+def _family(table: RuleTable, level: int, mask: int) -> tuple[int, ...]:
+    """F(mask): the layers L of level + 1 for which mask | L is closed there.
+
+    ``mask`` is a closed set of the first ``level`` levels.  Each L is given
+    relative to the first index of its layer, in lectic order, so families of
+    different sets compare equal exactly when they hold the same layers.
+    """
+    fixed = level * (level + 1) // 2
+    return tuple(m >> fixed for m in _lectic_masks(table, fixed, mask, fixed + level + 1))
+
+
+def _layer_counts(n_max: int, spec: ClosureSpec) -> Iterator[int]:
+    """Number of closed sets at n = 1..n_max, by the layer transfer of ``count_layers``."""
+    table = build_table(n_max, spec)
+    states = {_family(table, 0, 0): [0, 1]}
+    for level in range(n_max):
+        yield sum(mult * len(family) for family, (_, mult) in states.items())
+        if level + 1 == n_max:
+            return
+        shift = level * (level + 1) // 2
+        nxt: dict[tuple[int, ...], list[int]] = {}
+        for family, (rep, mult) in states.items():
+            for layer in family:
+                grown = rep | (layer << shift)
+                key = _family(table, level + 1, grown)
+                entry = nxt.get(key)
+                if entry is None:
+                    nxt[key] = [grown, mult]
+                else:
+                    entry[1] += mult
+        states = nxt
+
+
+def count_layers(n: int, spec: ClosureSpec) -> int:
+    """Number of closed sets, by a transfer over layers of intervals.
+
+    Layer k holds the k intervals [a, k]; they take the canonical indices
+    k(k-1)/2 .. k(k+1)/2 - 1, which do not depend on n, so a closed set at
+    level k+1 is a closed set X at level k plus one layer L from its family
+    F(X), the layers with X | L closed at level k+1.  Closed sets with equal
+    families are merged into one state, a representative with a
+    multiplicity: the count at level k+1 is the sum of multiplicity times
+    |F|, and the states at level k+1 are the families of representative | L
+    for every L in F.  The merge is exact when equal families imply equal
+    next families; see the module docstring for what backs that.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    *_, count = _layer_counts(n, spec)
+    return count
 
 
 def count_brute(n: int, spec: ClosureSpec, max_bits: int = BRUTE_CAP_BITS) -> int:
@@ -116,16 +183,6 @@ def count_brute(n: int, spec: ClosureSpec, max_bits: int = BRUTE_CAP_BITS) -> in
             ok[tuple(index)] = False
             index[size - 1 - j] = slice(None)
     return int(np.count_nonzero(ok))
-
-
-def shard_count(n: int, spec: ClosureSpec, shards: int) -> int:
-    """Next-Closure count computed as a merge of per-prefix block counts."""
-    table = build_table(n, spec)
-    t, prefixes = _shard_layout(table.size, shards)
-    per_shard = [0] * shards
-    for pos, p in enumerate(prefixes):
-        per_shard[pos % shards] += sum(1 for _ in _lectic_masks(table, t, p))
-    return sum(per_shard)
 
 
 def reference_sequence(spec: ClosureSpec, n: int) -> Optional[int]:
@@ -192,18 +249,29 @@ class SequenceReport:
         return "".join(f"{n} {count}\n" for n, count in self.terms)
 
 
-def sequence(spec: ClosureSpec, n_max: int, algorithm: str = "next_closure") -> SequenceReport:
-    """Counts for n = 1..n_max using the chosen algorithm."""
+def sequence(spec: ClosureSpec, n_max: int, algorithm: str = "layers") -> SequenceReport:
+    """Counts for n = 1..n_max using the chosen algorithm.
+
+    The layer transfer produces every term in one run; its time for a term
+    is the step from the previous level.
+    """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    if algorithm not in ("next_closure", "brute"):
+    if algorithm == "layers":
+        counts = _layer_counts(n_max, spec)
+    elif algorithm == "next_closure":
+        counts = (count_next_closure(n, spec) for n in range(1, n_max + 1))
+    elif algorithm == "brute":
+        counts = (count_brute(n, spec) for n in range(1, n_max + 1))
+    else:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     terms = []
     elapsed = []
-    for n in range(1, n_max + 1):
-        t0 = time.perf_counter()
-        count = count_brute(n, spec) if algorithm == "brute" else count_next_closure(n, spec)
-        elapsed.append(time.perf_counter() - t0)
+    t0 = time.perf_counter()
+    for n, count in enumerate(counts, start=1):
+        t1 = time.perf_counter()
+        elapsed.append(t1 - t0)
+        t0 = t1
         if count < 2:
             raise AssertionError(f"count {count} below 2 at n={n}: empty and full set are closed")
         terms.append((n, count))

@@ -31,6 +31,7 @@ from intervalcat import (
     comp_length,
     compact_meet_check,
     count_brute,
+    count_layers,
     count_next_closure,
     ext_dim,
     ext_middle,
@@ -49,7 +50,6 @@ from intervalcat import (
     quotients,
     reference_sequence,
     sequence,
-    shard_count,
     subfunctor_count,
     subobjects,
     universe_size,
@@ -124,9 +124,8 @@ def test_criterion_3_algorithm_cross_validation():
             brute = count_brute(n, spec)
             nc = count_next_closure(n, spec)
             assert brute == nc, (str(spec), n)
-            for k in (1, 2, 4):
-                assert shard_count(n, spec, k) == nc, (str(spec), n, k)
-    _report("criterion 3, brute = next-closure = sharded for all 32 specs, n <= 4", True)
+            assert count_layers(n, spec) == nc, (str(spec), n)
+    _report("criterion 3, brute = next-closure = layers for all 32 specs, n <= 4", True)
 
 
 def test_criterion_4_oracle_equivalence():

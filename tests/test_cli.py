@@ -23,10 +23,8 @@ def test_count(capsys):
     assert code == 0 and out == "720\n"
 
 
-def test_count_brute_and_shards(capsys):
+def test_count_brute(capsys):
     code, out, _ = run(capsys, "count", "--n", "3", "--ops", "CK", "--algorithm", "brute")
-    assert code == 0 and out == "22\n"
-    code, out, _ = run(capsys, "count", "--n", "3", "--ops", "CK", "--shards", "4")
     assert code == 0 and out == "22\n"
 
 
@@ -56,6 +54,17 @@ def test_brute_verify_cross_checks_next_closure(capsys, monkeypatch):
     assert err == "verification failed at n=1: 2 from brute, -1 from next-closure\n"
 
 
+def test_layers_verify_cross_checks_brute(capsys, monkeypatch):
+    # the default algorithm is the layer transfer, checked against the subset sweep
+    monkeypatch.setattr(cli, "count_brute", lambda n, spec: -1)
+    code, _, err = run(capsys, "count", "--n", "3", "--ops", "CK", "--verify")
+    assert code == 1
+    assert err == "verification failed: 22 from layers, -1 from brute\n"
+    code, _, err = run(capsys, "sequence", "--ops", "CK", "--n-max", "3", "--verify")
+    assert code == 1
+    assert err == "verification failed at n=1: 2 from layers, -1 from brute\n"
+
+
 def test_invalid_ops_exit_2(capsys):
     code, _, err = run(capsys, "count", "--n", "2", "--ops", "QZ")
     assert code == 2
@@ -71,11 +80,6 @@ def test_brute_cap_exit_3(capsys):
     code, _, err = run(capsys, "count", "--n", "7", "--ops", "Q", "--algorithm", "brute")
     assert code == 3
     assert "cap" in err
-
-
-def test_shards_with_brute_rejected(capsys):
-    code, _, _ = run(capsys, "count", "--n", "3", "--ops", "Q", "--algorithm", "brute", "--shards", "2")
-    assert code == 2
 
 
 def test_sequence_table_and_compare(capsys):
@@ -103,7 +107,7 @@ def test_sequence_json(capsys):
     code, out, _ = run(capsys, "sequence", "--ops", "", "--n-max", "4", "--format", "json")
     assert code == 0
     doc = json.loads(out)
-    assert doc["ops"] == ""
+    assert doc["ops"] == "" and doc["algorithm"] == "layers"
     assert [t["count"] for t in doc["terms"]] == [2, 8, 64, 1024]
 
 

@@ -15,6 +15,7 @@ from intervalcat import (
     barcode,
     closure,
     cokernel_rep,
+    interval_from_index,
     is_closed,
     kernel_rep,
     morphism_between_sums,
@@ -205,6 +206,16 @@ def test_full_rules_hold_in_table_closure():
             for flag in spec.flags:
                 for p, c in full[flag]:
                     assert table.closure(p) & c == c, (n, str(spec), flag, p)
+
+
+def test_kept_rules_conclude_within_premise_level():
+    # a rule whose largest premise endpoint is b concludes only intervals [a', b'] with
+    # b' <= b, so the n-table closes a set of the first b levels as the b-table does
+    for n in range(1, 9):
+        for spec in ClosureSpec.all_specs():
+            for p, c in build_table(n, spec).rules():
+                b = interval_from_index(p.bit_length() - 1).b
+                assert c >> (b * (b + 1) // 2) == 0, (n, str(spec), p, c)
 
 
 class TestSemanticSoundness:
