@@ -6,137 +6,6 @@ used to verify it (:mod:`intervalcat.oracle`), and a Horn-rule closure
 engine with layer-transfer, Next-Closure and brute-force counting on top
 (:mod:`intervalcat.closure`, :mod:`intervalcat.counting`).  Finite posets,
 their ideal lattices and incidence algebras live in
-:mod:`intervalcat.posets`.
+:mod:`intervalcat.posets`.  The package itself exports nothing: import
+each name from its submodule.
 """
-
-from .closure import ClosureSpec, RuleInstance, closure, is_closed, rule_instances
-from .counting import (
-    ClosedFamily,
-    SequenceReport,
-    count_brute,
-    count_layers,
-    count_next_closure,
-    iter_closed_sets,
-    lattice,
-    reference_sequence,
-    sequence,
-)
-from .errors import CapExceeded
-from .gf2 import F2Matrix
-from .intervals import (
-    Interval,
-    IntervalSet,
-    all_intervals,
-    comp_length,
-    compose_nonzero,
-    cokernel_pair,
-    cokernel_single,
-    dual,
-    ext_middle,
-    hom_dim,
-    image,
-    interval_from_index,
-    kernel_pair,
-    kernel_single,
-    quotients,
-    subobjects,
-    universe_size,
-)
-from .oracle import (
-    RepMorphism,
-    Representation,
-    barcode,
-    canonical_morphism,
-    cokernel_rep,
-    direct_sum,
-    ext_dim,
-    hom_space_dim,
-    image_rep,
-    kernel_rep,
-    module_of,
-    morphism_between_sums,
-    sum_of,
-    zero_rep,
-)
-from .posets import (
-    FinitePoset,
-    Ideal,
-    IdealLattice,
-    IncidenceAlgebra,
-    chain_equivalence_check,
-    coherent_check,
-    compact_meet_check,
-    ideals,
-    incidence_algebra,
-    is_distributive,
-    load_poset,
-    parse_poset,
-    principal_ideal,
-    subfunctor_count,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "CapExceeded",
-    "ClosedFamily",
-    "ClosureSpec",
-    "F2Matrix",
-    "FinitePoset",
-    "Ideal",
-    "IdealLattice",
-    "IncidenceAlgebra",
-    "Interval",
-    "IntervalSet",
-    "RepMorphism",
-    "Representation",
-    "RuleInstance",
-    "SequenceReport",
-    "all_intervals",
-    "barcode",
-    "canonical_morphism",
-    "chain_equivalence_check",
-    "closure",
-    "coherent_check",
-    "cokernel_pair",
-    "cokernel_rep",
-    "cokernel_single",
-    "comp_length",
-    "compact_meet_check",
-    "compose_nonzero",
-    "count_brute",
-    "count_layers",
-    "count_next_closure",
-    "direct_sum",
-    "dual",
-    "ext_dim",
-    "ext_middle",
-    "hom_dim",
-    "hom_space_dim",
-    "ideals",
-    "image",
-    "image_rep",
-    "incidence_algebra",
-    "interval_from_index",
-    "is_closed",
-    "is_distributive",
-    "iter_closed_sets",
-    "kernel_pair",
-    "kernel_rep",
-    "kernel_single",
-    "lattice",
-    "load_poset",
-    "module_of",
-    "morphism_between_sums",
-    "parse_poset",
-    "principal_ideal",
-    "quotients",
-    "reference_sequence",
-    "rule_instances",
-    "sequence",
-    "subfunctor_count",
-    "subobjects",
-    "sum_of",
-    "universe_size",
-    "zero_rep",
-]

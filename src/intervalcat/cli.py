@@ -43,10 +43,6 @@ _VERIFY_HELP = "cross-check against the subset sweep (against next-closure for -
 _POSET_CHECKS = ("ideals", "distributive", "subfunctors", "coherent", "compact-meet", "incidence")
 
 
-def _parse_ops(text: str) -> ClosureSpec:
-    return ClosureSpec.parse(text)
-
-
 def _positive(name: str, value: int) -> int:
     if value < 1:
         raise ValueError(f"{name} must be >= 1, got {value}")
@@ -73,7 +69,7 @@ def _cross_check(algorithm: str, n: int, spec: ClosureSpec) -> tuple[str, int]:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    spec = _parse_ops(args.ops)
+    spec = ClosureSpec.parse(args.ops)
     n = _positive("--n", args.n)
     if args.algorithm == "brute":
         count = count_brute(n, spec)
@@ -93,9 +89,9 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_sequence(args: argparse.Namespace) -> int:
-    spec = _parse_ops(args.ops)
+    spec = ClosureSpec.parse(args.ops)
     n_max = _positive("--n-max", args.n_max)
-    report = sequence(spec, n_max, args.algorithm.replace("-", "_"))
+    report = sequence(spec, n_max, args.algorithm)
     if args.verify:
         for n, count in report.terms:
             if universe_size(n) > BRUTE_CAP_BITS:
@@ -126,7 +122,7 @@ def cmd_sequence(args: argparse.Namespace) -> int:
 
 
 def cmd_list(args: argparse.Namespace) -> int:
-    spec = _parse_ops(args.ops)
+    spec = ClosureSpec.parse(args.ops)
     n = _positive("--n", args.n)
     if args.format == "json":
         sets = [s.indices() for s in iter_closed_sets(n, spec)]
@@ -138,7 +134,7 @@ def cmd_list(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    spec = _parse_ops(args.ops)
+    spec = ClosureSpec.parse(args.ops)
     n = _positive("--n", args.n)
     s = IntervalSet.from_literal(n, args.set)
     closed = closure(s, spec)
@@ -152,7 +148,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_lattice(args: argparse.Namespace) -> int:
-    spec = _parse_ops(args.ops)
+    spec = ClosureSpec.parse(args.ops)
     n = _positive("--n", args.n)
     max_members = _positive("--max-members", args.max_members)
     fam = lattice(n, spec, max_members=max_members)

@@ -45,8 +45,13 @@ for n <= 4 it compares the C and CK closed families with those of Horn
 rules read off the GF(2) oracle for every map with one source and at most
 three targets (and, for kernels, at most three sources and one target).
 
-The closure of a set is the least fixed point of the rule system, computed
-by worklist saturation over bitmasks.
+Rules are (premise mask, conclusion mask) pairs over canonical interval
+indices from generation to table.  They are generated sorted by premise
+size, premise indices and operation, and that order is the order in which
+the table prunes them: a rule is kept with only the conclusions that the
+rules before it do not already force.  The closure of a set is the least
+fixed point of the rule system, computed by worklist saturation over
+bitmasks.
 """
 
 from __future__ import annotations
@@ -58,6 +63,7 @@ from typing import Iterable, Iterator, Optional
 from .intervals import (
     Interval,
     IntervalSet,
+    _iter_bits,
     all_intervals,
     cokernel_pair,
     cokernel_single,
@@ -122,23 +128,6 @@ class ClosureSpec:
         return f"ClosureSpec({str(self)!r})"
 
 
-@dataclass(frozen=True)
-class RuleInstance:
-    """One Horn rule: if all premises are present, all conclusions must be."""
-
-    premises: frozenset
-    conclusions: frozenset
-    tag: str
-
-    def sort_key(self) -> tuple:
-        return (
-            len(self.premises),
-            tuple(sorted(iv.index for iv in self.premises)),
-            self.tag,
-            tuple(sorted(iv.index for iv in self.conclusions)),
-        )
-
-
 def _essential_flags(spec: ClosureSpec) -> frozenset:
     """The spec's flags without C under Q and without K under S.
 
@@ -157,68 +146,72 @@ def _strictly_nested(u: Interval, v: Interval) -> bool:
     return (u.a < v.a and v.b < u.b) or (v.a < u.a and u.b < v.b)
 
 
-def rule_instances(n: int, spec: ClosureSpec) -> tuple[RuleInstance, ...]:
+def rule_instances(n: int, spec: ClosureSpec) -> list[tuple[int, int]]:
     """A finite rule set whose closure operator is that of (n, spec).
 
-    Only the instances the module docstring's reductions leave are
-    generated.  Conclusions that already appear among the premises are
-    dropped, as are zero objects; instances left with no conclusions are
-    omitted.
+    Each rule is a (premise mask, conclusion mask) pair over canonical
+    interval indices.  Only the instances the module docstring's reductions
+    leave are generated.  Conclusions that already appear among the premises
+    are dropped, as are zero objects; instances left with no conclusions are
+    omitted.  Instances of one operation with equal premises are merged, and
+    the rules are sorted by premise size, then premise indices, then
+    operation: the order in which ``RuleTable`` prunes them.
     """
     ivs = all_intervals(n)
     flags = _essential_flags(spec)
-    merged: dict[tuple[str, frozenset], set] = {}
+    merged: dict[tuple[str, int], int] = {}
 
-    def add(tag: str, premises: Iterable[Interval], conclusions: Iterable[Interval]) -> None:
-        prem = frozenset(premises)
-        conc = set(conclusions) - prem
-        if not conc:
-            return
-        merged.setdefault((tag, prem), set()).update(conc)
+    def add(tag: str, prem: int, conclusions: Iterable[Interval]) -> None:
+        conc = 0
+        for y in conclusions:
+            conc |= 1 << y.index
+        conc &= ~prem
+        if conc:
+            merged[tag, prem] = merged.get((tag, prem), 0) | conc
 
     if "Q" in flags:
-        for x in ivs:
-            add("Q", [x], quotients(x))
+        for i, x in enumerate(ivs):
+            add("Q", 1 << i, quotients(x))
     if "S" in flags:
-        for x in ivs:
-            add("S", [x], subobjects(x))
+        for i, x in enumerate(ivs):
+            add("S", 1 << i, subobjects(x))
     if "E" in flags:
-        for lower in ivs:
-            for upper in ivs:
+        for i, lower in enumerate(ivs):
+            for j, upper in enumerate(ivs):
                 middle = ext_middle(upper, lower)
                 if middle is None:
                     continue
                 y, yp = middle
-                add("E", [lower, upper], [y] if yp is None else [y, yp])
+                add("E", 1 << i | 1 << j, [y] if yp is None else [y, yp])
     if "C" in flags:
-        for x in ivs:
-            targets = [y for y in ivs if hom_dim(x, y)]
-            for y in targets:
-                add("C", [x, y], cokernel_single(x, y))
-            for i, y1 in enumerate(targets):
-                for y2 in targets[i + 1:]:
+        for i, x in enumerate(ivs):
+            targets = [(1 << j, y) for j, y in enumerate(ivs) if hom_dim(x, y)]
+            for k, (b1, y1) in enumerate(targets):
+                add("C", 1 << i | b1, cokernel_single(x, y1))
+                for b2, y2 in targets[k + 1:]:
                     if _strictly_nested(y1, y2):
-                        add("C", [x, y1, y2], cokernel_pair(x, y1, y2))
+                        add("C", 1 << i | b1 | b2, cokernel_pair(x, y1, y2))
     if "K" in flags:
-        for x in ivs:
-            sources = [y for y in ivs if hom_dim(y, x)]
-            for y in sources:
-                add("K", [y, x], kernel_single(y, x))
-            for i, y1 in enumerate(sources):
-                for y2 in sources[i + 1:]:
+        for i, x in enumerate(ivs):
+            sources = [(1 << j, y) for j, y in enumerate(ivs) if hom_dim(y, x)]
+            for k, (b1, y1) in enumerate(sources):
+                add("K", b1 | 1 << i, kernel_single(y1, x))
+                for b2, y2 in sources[k + 1:]:
                     if _strictly_nested(y1, y2):
-                        add("K", [y1, y2, x], kernel_pair(y1, y2, x))
-    out = [RuleInstance(prem, frozenset(conc), tag) for (tag, prem), conc in merged.items()]
-    out.sort(key=RuleInstance.sort_key)
-    return tuple(out)
+                        add("K", b1 | b2 | 1 << i, kernel_pair(y1, y2, x))
+    # (tag, premise) is unique, so the conclusion never decides the order.
+    order = sorted(merged, key=lambda key: (key[1].bit_count(), tuple(_iter_bits(key[1])), key[0]))
+    return [(prem, merged[tag, prem]) for tag, prem in order]
 
 
 class RuleTable:
-    """Rule instances compiled to bitmasks with a premise-indexed worklist.
+    """The rules of ``rule_instances``, pruned, with a premise-indexed worklist.
 
-    Building the table saturates each rule's premises against the rules kept
-    so far and drops conclusions that are already forced; this prunes the
-    table without changing the closure operator.
+    Building the table takes the rules in the order ``rule_instances``
+    gives, saturates each rule's premises against the rules kept so far and
+    drops conclusions that are already forced; this prunes the table without
+    changing the closure operator, and which rules survive depends on that
+    order.
     """
 
     __slots__ = ("n", "spec", "size", "_prem", "_conc", "_by_elem")
@@ -230,9 +223,7 @@ class RuleTable:
         self._prem: list[int] = []
         self._conc: list[int] = []
         self._by_elem: list[list[int]] = [[] for _ in range(self.size)]
-        for inst in rule_instances(n, spec):
-            pmask = _mask_of(inst.premises)
-            cmask = _mask_of(inst.conclusions)
+        for pmask, cmask in rule_instances(n, spec):
             forced = self.closure(pmask)
             new = cmask & ~forced
             if not new:
@@ -294,13 +285,6 @@ class RuleTable:
     def rules(self) -> Iterator[tuple[int, int]]:
         """The kept rules as (premise mask, conclusion mask); the two are disjoint."""
         return zip(self._prem, self._conc)
-
-
-def _mask_of(ivs: Iterable[Interval]) -> int:
-    mask = 0
-    for iv in ivs:
-        mask |= 1 << iv.index
-    return mask
 
 
 @lru_cache(maxsize=None)

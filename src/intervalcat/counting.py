@@ -37,7 +37,6 @@ Hasse covers of a closed family are found with bitmaps over member indices.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
 from math import comb, factorial
@@ -250,7 +249,7 @@ class SequenceReport:
 
 
 def sequence(spec: ClosureSpec, n_max: int, algorithm: str = "layers") -> SequenceReport:
-    """Counts for n = 1..n_max using the chosen algorithm.
+    """Counts for n = 1..n_max by "layers", "next-closure" or "brute".
 
     The layer transfer produces every term in one run; its time for a term
     is the step from the previous level.
@@ -259,7 +258,7 @@ def sequence(spec: ClosureSpec, n_max: int, algorithm: str = "layers") -> Sequen
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if algorithm == "layers":
         counts = _layer_counts(n_max, spec)
-    elif algorithm == "next_closure":
+    elif algorithm == "next-closure":
         counts = (count_next_closure(n, spec) for n in range(1, n_max + 1))
     elif algorithm == "brute":
         counts = (count_brute(n, spec) for n in range(1, n_max + 1))

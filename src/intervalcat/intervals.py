@@ -92,14 +92,6 @@ def hom_dim(source: Interval, target: Interval) -> int:
     return 1 if source.a <= target.a <= source.b <= target.b else 0
 
 
-def compose_nonzero(src: Interval, mid: Interval, dst: Interval) -> bool:
-    """Whether the composite of the nonzero maps src -> mid -> dst is nonzero."""
-    if not (hom_dim(src, mid) and hom_dim(mid, dst)):
-        raise ValueError("compose_nonzero requires nonzero maps src->mid and mid->dst")
-    # Given the two hom conditions the full chain reduces to dst.a <= src.b.
-    return dst.a <= src.b
-
-
 def image(source: Interval, target: Interval) -> Optional[Interval]:
     """Image of the nonzero map source -> target, or None if the hom space is zero."""
     if not hom_dim(source, target):
@@ -204,7 +196,7 @@ class IntervalSet:
     """A set of intervals inside {1..n}, stored as a canonical bitmask.
 
     Bit i of ``mask`` is set exactly when the interval of canonical index i
-    is a member.  The mask is little-endian when serialised to bytes.
+    is a member.
     """
 
     n: int
@@ -242,10 +234,6 @@ class IntervalSet:
 
     def indices(self) -> list[int]:
         return list(_iter_bits(self.mask))
-
-    def to_bytes(self) -> bytes:
-        width = (universe_size(self.n) + 7) // 8
-        return self.mask.to_bytes(width, "little")
 
     def dual(self) -> "IntervalSet":
         return IntervalSet.of(self.n, (dual(iv, self.n) for iv in self.members))

@@ -47,9 +47,6 @@ class Representation:
         """Dimension at vertex v (1-based); vertices outside 1..n count as 0."""
         return self.dims[v - 1] if 1 <= v <= self.n else 0
 
-    def total_dim(self) -> int:
-        return sum(self.dims)
-
     def composite(self, a: int, b: int) -> F2Matrix:
         """Matrix of the composite M(b) -> M(a) along the arrows, 1 <= a <= b <= n."""
         if not 1 <= a <= b <= self.n:
@@ -132,14 +129,6 @@ class RepMorphism:
     @property
     def n(self) -> int:
         return self.source.n
-
-
-def compose(outer: RepMorphism, inner: RepMorphism) -> RepMorphism:
-    """Composite outer o inner."""
-    if inner.target is not outer.source and inner.target != outer.source:
-        raise ValueError("morphisms are not composable")
-    blocks = tuple(outer.blocks[v] @ inner.blocks[v] for v in range(inner.n))
-    return RepMorphism(inner.source, outer.target, blocks)
 
 
 def morphism_between_sums(

@@ -7,27 +7,23 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from intervalcat import (
-    ClosureSpec,
-    FinitePoset,
+from intervalcat.closure import ClosureSpec
+from intervalcat.intervals import (
     Interval,
     IntervalSet,
-    RuleInstance,
     all_intervals,
-    barcode,
     cokernel_pair,
     cokernel_single,
     ext_middle,
     hom_dim,
-    hom_space_dim,
     kernel_pair,
     kernel_single,
-    module_of,
-    morphism_between_sums,
     quotients,
     subobjects,
     universe_size,
 )
+from intervalcat.oracle import barcode, hom_space_dim, module_of, morphism_between_sums
+from intervalcat.posets import FinitePoset
 
 
 def random_interval(rng: random.Random, n: int) -> Interval:
@@ -57,8 +53,6 @@ def random_sum_members(rng: random.Random, pool: list[Interval], max_count: int)
 
 
 def random_morphism_coeffs(rng: random.Random, sources, targets):
-    from intervalcat import hom_dim
-
     coeffs = {}
     for i, s in enumerate(sources):
         for j, t in enumerate(targets):
@@ -67,54 +61,47 @@ def random_morphism_coeffs(rng: random.Random, sources, targets):
     return coeffs
 
 
-def full_rule_instances(n: int, spec: ClosureSpec) -> tuple[RuleInstance, ...]:
+def full_rule_instances(n: int, spec: ClosureSpec) -> list[tuple[int, int]]:
     """Every one- and two-summand rule instance of the spec, unreduced.
 
     The reference for the engine's generator: every target pair (source
     pair for kernels), nested or not, and the C and K blocks whatever Q and
-    S are.  Instances with the same tag and premises are merged, and the
-    result is sorted as the engine's rules are.
+    S are.  Rules are (premise mask, conclusion mask) pairs, as the
+    engine's are; instances with the same premises are merged.
     """
     ivs = all_intervals(n)
-    merged: dict[tuple[str, frozenset], set] = {}
+    merged: dict[int, int] = {}
 
-    def add(tag: str, premises, conclusions) -> None:
-        prem = frozenset(premises)
-        conc = set(conclusions) - prem
+    def add(premises, conclusions) -> None:
+        prem = IntervalSet.of(n, premises).mask
+        conc = IntervalSet.of(n, conclusions).mask & ~prem
         if conc:
-            merged.setdefault((tag, prem), set()).update(conc)
+            merged[prem] = merged.get(prem, 0) | conc
 
     for x in ivs:
         if "Q" in spec:
-            add("Q", [x], quotients(x))
+            add([x], quotients(x))
         if "S" in spec:
-            add("S", [x], subobjects(x))
+            add([x], subobjects(x))
         if "E" in spec:
             for upper in ivs:
                 middle = ext_middle(upper, x)
                 if middle is not None:
                     y, yp = middle
-                    add("E", [x, upper], [y] if yp is None else [y, yp])
+                    add([x, upper], [y] if yp is None else [y, yp])
         if "C" in spec:
             targets = [y for y in ivs if hom_dim(x, y)]
             for i, y1 in enumerate(targets):
-                add("C", [x, y1], cokernel_single(x, y1))
+                add([x, y1], cokernel_single(x, y1))
                 for y2 in targets[i:]:
-                    add("C", [x, y1, y2], cokernel_pair(x, y1, y2))
+                    add([x, y1, y2], cokernel_pair(x, y1, y2))
         if "K" in spec:
             sources = [y for y in ivs if hom_dim(y, x)]
             for i, y1 in enumerate(sources):
-                add("K", [y1, x], kernel_single(y1, x))
+                add([y1, x], kernel_single(y1, x))
                 for y2 in sources[i:]:
-                    add("K", [y1, y2, x], kernel_pair(y1, y2, x))
-    out = [RuleInstance(prem, frozenset(conc), tag) for (tag, prem), conc in merged.items()]
-    out.sort(key=RuleInstance.sort_key)
-    return tuple(out)
-
-
-def rule_masks(n: int, rule: RuleInstance) -> tuple[int, int]:
-    """The (premise mask, conclusion mask) of one rule instance."""
-    return IntervalSet.of(n, rule.premises).mask, IntervalSet.of(n, rule.conclusions).mask
+                    add([y1, y2, x], kernel_pair(y1, y2, x))
+    return list(merged.items())
 
 
 def oracle_horn_rules(n: int, rep_of, max_sources: int, max_targets: int) -> dict[int, int]:

@@ -14,45 +14,50 @@ import random
 
 import pytest
 
-from intervalcat import (
-    ClosureSpec,
-    FinitePoset,
-    Interval,
-    IntervalSet,
-    all_intervals,
-    barcode,
-    canonical_morphism,
-    chain_equivalence_check,
-    closure,
-    coherent_check,
-    cokernel_pair,
-    cokernel_rep,
-    cokernel_single,
-    comp_length,
-    compact_meet_check,
+from intervalcat.closure import ClosureSpec, closure, is_closed
+from intervalcat.counting import (
     count_brute,
     count_layers,
     count_next_closure,
-    ext_dim,
-    ext_middle,
-    hom_dim,
-    hom_space_dim,
-    ideals,
-    incidence_algebra,
-    is_closed,
-    is_distributive,
     iter_closed_sets,
-    kernel_pair,
-    kernel_rep,
-    kernel_single,
-    module_of,
-    morphism_between_sums,
-    quotients,
     reference_sequence,
     sequence,
-    subfunctor_count,
+)
+from intervalcat.intervals import (
+    IntervalSet,
+    all_intervals,
+    cokernel_pair,
+    cokernel_single,
+    comp_length,
+    ext_middle,
+    hom_dim,
+    kernel_pair,
+    kernel_single,
+    quotients,
     subobjects,
     universe_size,
+)
+from intervalcat.oracle import (
+    barcode,
+    canonical_morphism,
+    cokernel_rep,
+    ext_dim,
+    hom_space_dim,
+    interval_quotient_barcodes,
+    interval_submodule_barcodes,
+    kernel_rep,
+    module_of,
+    morphism_between_sums,
+)
+from intervalcat.posets import (
+    FinitePoset,
+    chain_equivalence_check,
+    coherent_check,
+    compact_meet_check,
+    ideals,
+    incidence_algebra,
+    is_distributive,
+    subfunctor_count,
 )
 
 from helpers import (
@@ -155,7 +160,6 @@ def test_criterion_4_oracle_equivalence():
                 for y2 in sources[i:]:
                     f = morphism_between_sums(n, [y1, y2], [x], {(0, 0): 1, (1, 0): 1})
                     assert barcode(kernel_rep(f)) == kernel_pair(y1, y2, x)
-        from intervalcat.oracle import interval_quotient_barcodes, interval_submodule_barcodes
 
         for x in ivs:
             assert interval_submodule_barcodes(x, n) == sorted((s,) for s in subobjects(x))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 
-from intervalcat import cli
+import intervalcat.cli as cli
 from intervalcat.cli import main
 
 
@@ -109,6 +109,15 @@ def test_sequence_json(capsys):
     doc = json.loads(out)
     assert doc["ops"] == "" and doc["algorithm"] == "layers"
     assert [t["count"] for t in doc["terms"]] == [2, 8, 64, 1024]
+
+
+def test_sequence_json_echoes_algorithm_name(capsys):
+    argv = ("sequence", "--ops", "Q", "--n-max", "3", "--algorithm", "next-closure", "--format", "json")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["algorithm"] == "next-closure"
+    assert [t["count"] for t in doc["terms"]] == [2, 6, 24]
 
 
 def test_list(capsys):

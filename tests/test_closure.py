@@ -7,25 +7,25 @@ import random
 import numpy as np
 import pytest
 
-from intervalcat import (
-    ClosureSpec,
+from intervalcat.closure import ClosureSpec, build_table, closure, is_closed, rule_instances
+from intervalcat.intervals import (
     Interval,
     IntervalSet,
     all_intervals,
-    barcode,
-    closure,
-    cokernel_rep,
+    ext_middle,
     interval_from_index,
-    is_closed,
-    kernel_rep,
-    morphism_between_sums,
-    rule_instances,
     universe_size,
 )
-from intervalcat.closure import build_table
-from intervalcat.oracle import cokernel_rep as _coker, generated_submodule, sum_of
+from intervalcat.oracle import (
+    barcode,
+    cokernel_rep,
+    generated_submodule,
+    kernel_rep,
+    morphism_between_sums,
+    sum_of,
+)
 
-from helpers import full_rule_instances, random_morphism_coeffs, random_set, random_sum_members, rule_masks
+from helpers import full_rule_instances, random_morphism_coeffs, random_set, random_sum_members
 
 
 class TestClosureSpec:
@@ -53,39 +53,41 @@ class TestClosureSpec:
         assert "S" not in ClosureSpec.parse("QE")
 
 
+def _mask(n: int, *members: Interval) -> int:
+    return IntervalSet.of(n, members).mask
+
+
 class TestRuleInstances:
     def test_quotient_instance_present(self):
         rules = rule_instances(2, ClosureSpec.parse("Q"))
-        wanted = [
-            r
-            for r in rules
-            if r.premises == frozenset({Interval(1, 2)})
-            and r.conclusions == frozenset({Interval(2, 2)})
-        ]
-        assert len(wanted) == 1 and wanted[0].tag == "Q"
+        assert (_mask(2, Interval(1, 2)), _mask(2, Interval(2, 2))) in rules
 
     def test_extension_instance_present(self):
         rules = rule_instances(2, ClosureSpec.parse("E"))
-        assert len(rules) == 1
-        (r,) = rules
-        assert r.premises == frozenset({Interval(1, 1), Interval(2, 2)})
-        assert r.conclusions == frozenset({Interval(1, 2)})
+        assert rules == [(_mask(2, Interval(1, 1), Interval(2, 2)), _mask(2, Interval(1, 2)))]
 
     def test_no_rules_for_single_vertex(self):
-        assert rule_instances(1, ClosureSpec.parse("QSCKE")) == ()
+        assert rule_instances(1, ClosureSpec.parse("QSCKE")) == []
 
     def test_conclusions_never_meet_premises(self):
         for spec in (ClosureSpec.parse(s) for s in ("Q", "E", "C", "K", "QSCKE")):
-            for r in rule_instances(4, spec):
-                assert r.conclusions
-                assert not (r.conclusions & r.premises)
+            for prem, conc in rule_instances(4, spec):
+                assert conc
+                assert not conc & prem
+
+    def test_sorted_by_premise_size_then_indices(self):
+        # the order RuleTable prunes in; the operation breaks ties
+        for spec in (ClosureSpec.parse(s) for s in ("E", "CK", "QSCKE")):
+            keys = [
+                (p.bit_count(), IntervalSet(5, p).indices()) for p, _ in rule_instances(5, spec)
+            ]
+            assert keys == sorted(keys), str(spec)
 
 
 def _is_closed_by_instances(s: IntervalSet, spec: ClosureSpec) -> bool:
     """Reference semantics straight off the public instance list."""
-    members = set(s.members)
-    for r in rule_instances(s.n, spec):
-        if r.premises <= members and not r.conclusions <= members:
+    for prem, conc in rule_instances(s.n, spec):
+        if prem & s.mask == prem and conc & ~s.mask:
             return False
     return True
 
@@ -164,15 +166,15 @@ def test_table_pruning_keeps_operator():
             full = full_rule_instances(n, spec)
             for _ in range(50):
                 s = random_set(rng, n)
-                slow = set(s.members)
+                slow = s.mask
                 changed = True
                 while changed:
                     changed = False
-                    for r in full:
-                        if r.premises <= slow and not r.conclusions <= slow:
-                            slow |= r.conclusions
+                    for p, c in full:
+                        if p & slow == p and c & ~slow:
+                            slow |= c
                             changed = True
-                assert IntervalSet(n, table.closure(s.mask)) == IntervalSet.of(n, slow)
+                assert table.closure(s.mask) == slow
 
 
 def test_reduced_rules_keep_operator_exhaustively():
@@ -181,7 +183,7 @@ def test_reduced_rules_keep_operator_exhaustively():
         subsets = np.arange(1 << universe_size(n), dtype=np.int64)
         for spec in ClosureSpec.all_specs():
             table = build_table(n, spec)
-            full = [rule_masks(n, r) for r in full_rule_instances(n, spec)]
+            full = full_rule_instances(n, spec)
             slow = subsets.copy()
             changed = True
             while changed:
@@ -197,10 +199,7 @@ def test_full_rules_hold_in_table_closure():
     # every unreduced rule is derivable from the generated ones; the unreduced
     # rules of a spec are the union of those of its single flags
     for n in range(1, 8):
-        full = {
-            flag: [rule_masks(n, r) for r in full_rule_instances(n, ClosureSpec.parse(flag))]
-            for flag in "QSCKE"
-        }
+        full = {flag: full_rule_instances(n, ClosureSpec.parse(flag)) for flag in "QSCKE"}
         for spec in ClosureSpec.all_specs():
             table = build_table(n, spec)
             for flag in spec.flags:
@@ -268,12 +267,10 @@ class TestSemanticSoundness:
                 incl = generated_submodule(rep, gens)
                 for bar in barcode(incl.source):
                     assert bar in s_sub
-                for bar in barcode(_coker(incl)):
+                for bar in barcode(cokernel_rep(incl)):
                     assert bar in s_quo
 
     def test_extension_middles_stay_inside(self):
-        from intervalcat import ext_middle
-
         rng = random.Random(61)
         spec = ClosureSpec.parse("E")
         for n in (2, 3, 4):

@@ -6,22 +6,20 @@ import json
 
 import pytest
 
-from intervalcat import (
-    CapExceeded,
-    ClosureSpec,
-    Interval,
-    IntervalSet,
+from intervalcat.closure import ClosureSpec, build_table, is_closed
+from intervalcat.counting import (
+    _family,
     count_brute,
     count_layers,
     count_next_closure,
-    is_closed,
     iter_closed_sets,
     lattice,
     reference_sequence,
     sequence,
 )
-from intervalcat.closure import build_table
-from intervalcat.counting import _family
+from intervalcat.errors import CapExceeded
+from intervalcat.intervals import IntervalSet, hom_dim, universe_size
+from intervalcat.oracle import barcode, cokernel_rep, morphism_between_sums
 
 from helpers import hasse_covers
 
@@ -71,12 +69,8 @@ def test_closed_count_matches_oracle_closedness_semantics():
     # cokernel barcode of every morphism between sums of two members
     from itertools import combinations_with_replacement, product
 
-    from intervalcat import barcode, cokernel_rep, hom_dim, morphism_between_sums
-
     n = 3
     closed = {s.mask for s in iter_closed_sets(n, spec("C"))}
-    from intervalcat import universe_size
-
     for mask in range(1 << universe_size(n)):
         members = IntervalSet(n, mask).members
         ok = True
@@ -173,8 +167,8 @@ def test_sequence_reports():
     assert [n for n, _ in rep.terms] == [1, 2, 3, 4, 5]
     assert len(rep.elapsed) == 5
 
-    nc = sequence(spec("QE"), 5, algorithm="next_closure")
-    assert nc.counts() == rep.counts() and nc.algorithm == "next_closure"
+    nc = sequence(spec("QE"), 5, algorithm="next-closure")
+    assert nc.counts() == rep.counts() and nc.algorithm == "next-closure"
 
     brute = sequence(spec("QSE"), 4, algorithm="brute")
     assert brute.counts() == [2, 4, 8, 16]

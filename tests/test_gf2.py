@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from intervalcat import F2Matrix
+from intervalcat.gf2 import F2Matrix
 
 
 def test_rank_examples():

@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from intervalcat import (
+from intervalcat.intervals import (
     Interval,
     IntervalSet,
     all_intervals,
     comp_length,
-    compose_nonzero,
     cokernel_pair,
     cokernel_single,
     dual,
@@ -60,15 +59,6 @@ def test_hom_duality():
     for x in all_intervals(n):
         for y in all_intervals(n):
             assert hom_dim(x, y) == hom_dim(dual(y, n), dual(x, n))
-
-
-def test_compose_nonzero():
-    assert compose_nonzero(Interval(1, 2), Interval(2, 3), Interval(3, 4)) is False
-    assert compose_nonzero(Interval(1, 3), Interval(2, 3), Interval(2, 4)) is True
-    x = Interval(2, 3)
-    assert compose_nonzero(x, x, x) is True
-    with pytest.raises(ValueError):
-        compose_nonzero(Interval(1, 1), Interval(2, 2), Interval(2, 2))
 
 
 def test_image():
@@ -203,10 +193,6 @@ class TestIntervalSet:
             IntervalSet.of(2, [Interval(1, 3)])
         with pytest.raises(ValueError):
             IntervalSet(2, 1 << 3)
-
-    def test_bytes_little_endian(self):
-        s = IntervalSet.from_indices(4, [0, 9])
-        assert s.to_bytes() == (1 | 1 << 9).to_bytes(2, "little")
 
     def test_literal_roundtrip(self):
         s = IntervalSet.of(3, [Interval(1, 2), Interval(3, 3)])

@@ -7,38 +7,36 @@ from collections import Counter
 
 import pytest
 
-from intervalcat import (
+from intervalcat.intervals import (
     Interval,
     all_intervals,
-    barcode,
-    canonical_morphism,
     cokernel_pair,
-    cokernel_rep,
     cokernel_single,
-    compose_nonzero,
-    direct_sum,
-    ext_dim,
     ext_middle,
     hom_dim,
-    hom_space_dim,
     image,
-    image_rep,
     kernel_pair,
-    kernel_rep,
     kernel_single,
-    module_of,
-    morphism_between_sums,
     quotients,
     subobjects,
-    sum_of,
-    zero_rep,
 )
 from intervalcat.oracle import (
     RepMorphism,
-    compose,
+    barcode,
+    canonical_morphism,
+    cokernel_rep,
+    direct_sum,
+    ext_dim,
     generated_submodule,
+    hom_space_dim,
+    image_rep,
     interval_quotient_barcodes,
     interval_submodule_barcodes,
+    kernel_rep,
+    module_of,
+    morphism_between_sums,
+    sum_of,
+    zero_rep,
 )
 
 from helpers import random_interval
@@ -146,20 +144,6 @@ def test_morphism_validation():
     )
     with pytest.raises(ValueError):
         RepMorphism(module_of(Interval(1, 1), 1), module_of(Interval(1, 1), 1), bad_blocks * 0)
-
-
-def test_compose_matches_interval_rule():
-    n = 4
-    for x in all_intervals(n):
-        for y in all_intervals(n):
-            if not hom_dim(x, y):
-                continue
-            for z in all_intervals(n):
-                if not hom_dim(y, z):
-                    continue
-                comp = compose(canonical_morphism(y, z, n), canonical_morphism(x, y, n))
-                nonzero = any(any(b.rows) for b in comp.blocks)
-                assert nonzero == compose_nonzero(x, y, z), (x, y, z)
 
 
 def test_kernel_cokernel_image_reps_vertexwise_ranks():

@@ -6,8 +6,9 @@ import random
 
 import pytest
 
-from intervalcat import (
-    CapExceeded,
+import intervalcat.posets as posets
+from intervalcat.errors import CapExceeded
+from intervalcat.posets import (
     FinitePoset,
     chain_equivalence_check,
     coherent_check,
@@ -16,7 +17,6 @@ from intervalcat import (
     incidence_algebra,
     is_distributive,
     parse_poset,
-    principal_ideal,
     subfunctor_count,
 )
 
@@ -90,21 +90,6 @@ class TestIdeals:
         with pytest.raises(CapExceeded):
             ideals(FinitePoset.antichain(8), cap=100)
 
-    def test_principal_ideal(self):
-        p = FinitePoset.chain(3)
-        assert principal_ideal(p, 2).members() == (1, 2)
-        assert principal_ideal(p, 3).members() == (1, 2, 3)
-        assert principal_ideal(FinitePoset.antichain(3), 2).members() == (2,)
-
-    def test_join_meet(self):
-        p = FinitePoset.antichain(2)
-        lat = ideals(p)
-        a = principal_ideal(p, 1)
-        b = principal_ideal(p, 2)
-        assert lat.join(a, b).members() == (1, 2)
-        assert lat.meet(a, b).members() == ()
-        assert len(lat.ideals()) == 4
-
 
 class TestDistributivity:
     def test_ideal_lattices_distributive(self):
@@ -126,6 +111,12 @@ class TestDistributivity:
     def test_bad_input(self):
         with pytest.raises(TypeError):
             is_distributive(42)
+
+    def test_ideal_sweep_cap(self, monkeypatch):
+        monkeypatch.setattr(posets, "DISTRIBUTIVE_CAP", 4)
+        assert is_distributive(ideals(FinitePoset.antichain(2)))
+        with pytest.raises(CapExceeded):
+            is_distributive(ideals(FinitePoset.antichain(3)))
 
 
 class TestSubfunctors:
