@@ -13,16 +13,18 @@ class F2Matrix:
     def __init__(self, nrows: int, ncols: int, rows: Sequence[int] = ()):
         if nrows < 0 or ncols < 0:
             raise ValueError(f"bad shape {nrows}x{ncols}")
-        rows = tuple(rows) if rows else (0,) * nrows
-        if len(rows) != nrows:
-            raise ValueError(f"expected {nrows} rows, got {len(rows)}")
-        limit = 1 << ncols
-        for r in rows:
-            if r < 0 or r >= limit:
-                raise ValueError(f"row {r:#x} out of range for {ncols} columns")
-        object.__setattr__(self, "nrows", nrows)
-        object.__setattr__(self, "ncols", ncols)
-        object.__setattr__(self, "rows", rows)
+        if rows:
+            rows = tuple(rows)
+            if len(rows) != nrows:
+                raise ValueError(f"expected {nrows} rows, got {len(rows)}")
+            if min(rows) < 0 or max(rows) >> ncols:
+                bad = next(r for r in rows if r < 0 or r >> ncols)
+                raise ValueError(f"row {bad:#x} out of range for {ncols} columns")
+        else:
+            rows = (0,) * nrows
+        _set_nrows(self, nrows)
+        _set_ncols(self, ncols)
+        _set_rows(self, rows)
 
     def __setattr__(self, name, value):
         raise AttributeError("F2Matrix is immutable")
@@ -151,6 +153,10 @@ class F2Matrix:
     def solve_left(self, rhs: "F2Matrix") -> "F2Matrix":
         """A particular X with X @ self = rhs."""
         return self.transpose().solve(rhs.transpose()).transpose()
+
+
+# Slot setters that bypass the immutability guard of __setattr__; __init__ alone uses them.
+_set_nrows, _set_ncols, _set_rows = (getattr(F2Matrix, slot).__set__ for slot in F2Matrix.__slots__)
 
 
 def _eliminate(rows: list[int], ncols: int) -> tuple[list[int], list[int]]:

@@ -7,11 +7,19 @@ contravariant orientation; all direction conventions live here).  Kernels,
 cokernels, images, hom spaces, first extension groups and barcodes are
 computed by plain Gaussian elimination, with no interval combinatorics
 involved.
+
+``morphism_between_sums`` builds each direct sum once per (summand list, n)
+and shares it between all morphisms of those summands, which is most of
+what sweeping every coefficient pattern costs otherwise.  Sharing is safe
+because representations and matrices are immutable; the blocks, the
+coefficient checks and the commutation check of ``RepMorphism`` are still
+done for every morphism.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .gf2 import F2Matrix, block_diag, rank_of_rows
@@ -133,32 +141,58 @@ class RepMorphism:
 
 def morphism_between_sums(
     n: int,
-    sources: Sequence[Interval],
-    targets: Sequence[Interval],
+    sources: Iterable[Interval],
+    targets: Iterable[Interval],
     coeffs: dict[tuple[int, int], int],
 ) -> RepMorphism:
     """Morphism sum_of(sources) -> sum_of(targets) from scalar coefficients.
 
     ``coeffs[(i, j)]`` is the GF(2) coefficient of the canonical nonzero map
     sources[i] -> targets[j]; setting a coefficient on a zero hom space is an
-    error.  Because each summand map is a genuine morphism, the assembled
-    blocks commute by construction.
+    error.  The nonzero map of two intervals is the identity on the vertices
+    they share, so a coefficient sets one entry of the block at each of
+    them.  Both sums come from ``_shared_sum``; the blocks and the morphism,
+    whose construction checks that the blocks commute, are built afresh.
     """
-    src = sum_of(sources, n)
-    tgt = sum_of(targets, n)
+    sources, targets = tuple(sources), tuple(targets)
+    src, src_pos = _shared_sum(sources, n)
+    tgt, tgt_pos = _shared_sum(targets, n)
+    rows = [[0] * d for d in tgt.dims]
     for (i, j), c in coeffs.items():
-        if c & 1 and not hom_dim(sources[i], targets[j]):
-            raise ValueError(f"hom space {sources[i]} -> {targets[j]} is zero")
-    blocks = []
+        if not c & 1:
+            continue
+        if not (0 <= i < len(sources) and 0 <= j < len(targets)):
+            raise ValueError(f"coefficient index {(i, j)} out of range")
+        x, y = sources[i], targets[j]
+        if not hom_dim(x, y):
+            raise ValueError(f"hom space {x} -> {y} is zero")
+        for v in range(y.a - 1, x.b):
+            rows[v][tgt_pos[v][j]] |= 1 << src_pos[v][i]
+    blocks = tuple(F2Matrix(tgt.dims[v], src.dims[v], rows[v]) for v in range(n))
+    return RepMorphism(src, tgt, blocks)
+
+
+# 4096 holds every summand list of the one-source, three-target sweeps up to
+# n = 6 (about 2,000), so a sweep that cycles through them never evicts.
+@lru_cache(maxsize=4096)
+def _shared_sum(intervals: tuple[Interval, ...], n: int) -> tuple[Representation, tuple[tuple[int, ...], ...]]:
+    """``sum_of(intervals, n)`` and, per vertex, each summand's position in its basis there.
+
+    The position of a summand absent at a vertex is -1.  Both parts are
+    immutable, so every morphism between the same summand lists shares them.
+    """
+    rep = sum_of(intervals, n)
+    positions = []
     for v in range(1, n + 1):
-        src_pos = {i: p for p, i in enumerate(i for i, x in enumerate(sources) if x.a <= v <= x.b)}
-        tgt_pos = {j: p for p, j in enumerate(j for j, y in enumerate(targets) if y.a <= v <= y.b)}
-        entries = [[0] * len(src_pos) for _ in range(len(tgt_pos))]
-        for (i, j), c in coeffs.items():
-            if c & 1 and i in src_pos and j in tgt_pos:
-                entries[tgt_pos[j]][src_pos[i]] = 1
-        blocks.append(F2Matrix.from_dense(entries, len(src_pos)))
-    return RepMorphism(src, tgt, tuple(blocks))
+        pos, p = [], 0
+        for x in intervals:
+            if x.a <= v <= x.b:
+                pos.append(p)
+                p += 1
+            else:
+                pos.append(-1)
+        positions.append(tuple(pos))
+    return rep, tuple(positions)
 
 
 def canonical_morphism(source: Interval, target: Interval, n: int) -> RepMorphism:

@@ -13,6 +13,9 @@ IDEAL_CAP = 1 << 20
 # The distributivity sweep visits every pair of ideals: 2^14 ideals take
 # about 40 s (2-core VM, CPython 3.11), and each doubling quadruples that.
 DISTRIBUTIVE_CAP = 1 << 14
+# The compact-meet check compares every pair of ideals of each lower set:
+# 2^11 ideals take about 2.5 s (2-core VM, CPython 3.11), so 2^12 about 10 s.
+COMPACT_MEET_CAP = 1 << 12
 
 
 class FinitePoset:
@@ -400,11 +403,18 @@ def compact_meet_check(p: FinitePoset) -> bool:
     In the ideal lattice of a finite poset an ideal is compact exactly when
     it is a finite union of principal ideals, which every ideal is; the
     check therefore amounts to the ideal family being closed under pairwise
-    intersection, and must come out true.
+    intersection, and must come out true.  A lower set of more than
+    ``COMPACT_MEET_CAP`` ideals raises CapExceeded.
     """
     for x in range(len(p)):
         sub = p.restrict(p.down[x])
-        lat = ideals(sub)
+        try:
+            lat = ideals(sub, cap=COMPACT_MEET_CAP)
+        except CapExceeded:
+            raise CapExceeded(
+                f"lower set of {p.elements[x]!r} has more than {COMPACT_MEET_CAP} ideals; "
+                "the compact-meet sweep is capped there"
+            ) from None
         universe = set(lat.masks)
         compact = []
         for m in lat.masks:

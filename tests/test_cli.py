@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import intervalcat.cli as cli
 from intervalcat.cli import main
@@ -186,6 +187,17 @@ def test_poset_report(capsys, tmp_path):
     assert "compact_meet = true" in out
     assert "incidence_dimension = 6" in out
     assert "incidence_associative = true" in out
+
+
+def test_poset_compact_meet_cap_exit_3(capsys, tmp_path):
+    # 2^19 + 1 ideals below the top: the uncapped pairwise sweep would run for days
+    f = tmp_path / "wide.poset"
+    f.write_text("".join(f"a{i} <= t\n" for i in range(19)), encoding="utf-8")
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, "poset", "--file", str(f), "--checks", "compact-meet")
+    assert code == 3
+    assert time.perf_counter() - t0 < 1.0
+    assert "compact-meet" in err
 
 
 def test_poset_chain_check(capsys, tmp_path):

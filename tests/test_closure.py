@@ -6,6 +6,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intervalcat.closure import ClosureSpec, build_table, closure, is_closed, rule_instances
 from intervalcat.intervals import (
@@ -132,6 +134,27 @@ def test_closure_operator_laws():
                 assert cs.issubset(closure(union, spec))
                 if is_closed(s, spec):
                     assert cs == s
+
+
+@st.composite
+def _table_and_nested_masks(draw):
+    """A rule table of any spec at n <= 5 and two masks a <= b of its universe."""
+    spec = draw(st.sampled_from(ClosureSpec.all_specs()))
+    n = draw(st.integers(1, 5))
+    full = (1 << universe_size(n)) - 1
+    a = draw(st.integers(0, full))
+    return build_table(n, spec), a, a | draw(st.integers(0, full))
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(_table_and_nested_masks())
+def test_rule_table_closure_laws(case):
+    table, a, b = case
+    ca, cb = table.closure(a), table.closure(b)
+    assert ca & a == a  # extensive
+    assert ca & cb == ca  # monotone
+    assert table.closure(ca) == ca  # idempotent
+    assert table.is_closed(ca)
 
 
 def test_intersection_of_closed_is_closed():

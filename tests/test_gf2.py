@@ -22,6 +22,22 @@ def test_shapes_validated():
         F2Matrix.from_dense([[1, 0], [1]])
 
 
+def test_constructor_validation():
+    with pytest.raises(ValueError, match="row -0x1 out of range"):
+        F2Matrix(2, 2, (1, -1))
+    with pytest.raises(ValueError, match="row 0x1 out of range for 0 columns"):
+        F2Matrix(1, 0, (1,))
+    with pytest.raises(ValueError, match="row 0x4 out of range"):  # the first bad row is named
+        F2Matrix(3, 2, (4, 1, 8))
+    with pytest.raises(ValueError, match="expected 2 rows, got 3"):
+        F2Matrix(2, 3, (1, 2, 3))
+    m = F2Matrix.identity(2)
+    for name in ("nrows", "ncols", "rows", "other"):
+        with pytest.raises(AttributeError):
+            setattr(m, name, 0)
+    assert m.shape == (2, 2) and m.rows == (1, 2)
+
+
 def test_matmul():
     a = F2Matrix.from_dense([[1, 1, 0], [0, 1, 1]])
     b = F2Matrix.from_dense([[1, 0], [1, 1], [0, 1]])

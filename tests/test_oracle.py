@@ -146,6 +146,43 @@ def test_morphism_validation():
         RepMorphism(module_of(Interval(1, 1), 1), module_of(Interval(1, 1), 1), bad_blocks * 0)
 
 
+def test_morphism_between_sums_takes_any_iterable():
+    n = 4
+    srcs = [Interval(2, 3)]
+    tgts = [Interval(2, 4), Interval(3, 3), Interval(2, 3)]
+    coeffs = {(0, 0): 1, (0, 2): 1}
+    f = morphism_between_sums(n, srcs, tgts, coeffs)
+    assert morphism_between_sums(n, tuple(srcs), tuple(tgts), coeffs) == f
+    assert morphism_between_sums(n, iter(srcs), (y for y in tgts), coeffs) == f
+
+
+def test_shared_sums_keep_morphisms_independent():
+    n = 3
+    srcs, tgts = [Interval(2, 2)], [Interval(2, 3), Interval(2, 2)]
+    f = morphism_between_sums(n, srcs, tgts, {(0, 0): 1})
+    g = morphism_between_sums(n, srcs, tgts, {(0, 0): 1, (0, 1): 1})
+    assert f.source is g.source and f.target is g.target
+    assert f.blocks != g.blocks
+    assert barcode(cokernel_rep(g)) == (Interval(2, 3),)
+    assert barcode(cokernel_rep(f)) == (Interval(2, 2), Interval(3, 3))
+    assert morphism_between_sums(n, srcs, tgts, {(0, 0): 1}) == f
+
+
+def test_morphism_validation_with_warm_sums():
+    srcs, tgts = [Interval(1, 1)], [Interval(2, 2)]
+    morphism_between_sums(2, srcs, tgts, {})
+    with pytest.raises(ValueError, match="is zero"):
+        morphism_between_sums(2, srcs, tgts, {(0, 0): 1})
+    for key in ((1, 0), (0, -1)):
+        with pytest.raises(ValueError, match="out of range"):
+            morphism_between_sums(2, srcs, tgts, {key: 1})
+    wide = [Interval(1, 3)]
+    morphism_between_sums(3, wide, wide, {(0, 0): 1})
+    for _ in range(2):
+        with pytest.raises(ValueError, match="does not fit"):
+            morphism_between_sums(2, wide, tgts, {})
+
+
 def test_kernel_cokernel_image_reps_vertexwise_ranks():
     rng = random.Random(29)
     n = 4

@@ -196,6 +196,15 @@ def test_coherence_checks():
         assert compact_meet_check(p)
 
 
+def test_compact_meet_cap(monkeypatch):
+    monkeypatch.setattr(posets, "COMPACT_MEET_CAP", 4)
+    assert compact_meet_check(FinitePoset.antichain(3))
+    # the lower set of the top has 2^2 + 1 ideals
+    wedge = FinitePoset.from_relations(["a", "b", "t"], [("a", "t"), ("b", "t")])
+    with pytest.raises(CapExceeded, match="'t'"):
+        compact_meet_check(wedge)
+
+
 class TestParsing:
     def test_parse_chain_file(self):
         text = "# three element chain\na\nb\nc\na <= b\nb <= c\n"
