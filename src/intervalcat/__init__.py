@@ -3,7 +3,7 @@
 The package has three layers: endpoint arithmetic on intervals
 (:mod:`intervalcat.intervals`), an independent GF(2) linear-algebra model
 used to verify it (:mod:`intervalcat.oracle`), and a Horn-rule closure
-engine with layer-transfer, Next-Closure and brute-force counting on top
+engine with layer-transfer, lectic-enumeration and brute-force counting on top
 (:mod:`intervalcat.closure`, :mod:`intervalcat.counting`).  Finite posets,
 their ideal lattices and incidence algebras live in
 :mod:`intervalcat.posets`.  The package itself exports nothing: import

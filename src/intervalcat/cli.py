@@ -36,7 +36,7 @@ from .posets import (
 
 _ALGORITHMS = ("layers", "next-closure", "brute")
 _ALGORITHM_HELP = (
-    "layers: transfer over layers of intervals (default); next-closure: enumerate every closed set; "
+    "layers: transfer over layers of intervals (default); next-closure: enumerate every closed set in lectic order; "
     "brute: sweep every subset (n <= 6)"
 )
 _VERIFY_HELP = "cross-check against the subset sweep (against next-closure for --algorithm brute); n <= 6"
@@ -60,8 +60,8 @@ def _report_skipped_verification(scope: str, n: int) -> None:
 def _cross_check(algorithm: str, n: int, spec: ClosureSpec) -> tuple[str, int]:
     """The cross-check count for ``algorithm``, with the name of the algorithm giving it.
 
-    The subset sweep checks the layer transfer and Next-Closure; the sweep
-    itself is checked against Next-Closure.
+    The subset sweep checks the layer transfer and the enumeration; the
+    sweep itself is checked against the enumeration.
     """
     if algorithm == "brute":
         return "next-closure", count_next_closure(n, spec)

@@ -51,7 +51,8 @@ size, premise indices and operation, and that order is the order in which
 the table prunes them: a rule is kept with only the conclusions that the
 rules before it do not already force.  The closure of a set is the least
 fixed point of the rule system, computed by worklist saturation over
-bitmasks.
+bitmasks; ``RuleTable.extend`` saturates a closed base plus new elements,
+pushing only the new ones.
 """
 
 from __future__ import annotations
@@ -242,19 +243,26 @@ class RuleTable:
         return len(self._prem)
 
     def closure(self, mask: int, forbidden: int = 0) -> Optional[int]:
-        """Least fixed point containing mask; None as soon as it meets forbidden.
+        """Least fixed point containing mask; None as soon as it meets forbidden."""
+        return self.extend(0, mask, forbidden)
 
-        The early exit makes the lectic validity test in Next-Closure cheap:
-        most candidate closures die on their first forbidden element.
+    def extend(self, base: int, add: int, forbidden: int = 0) -> Optional[int]:
+        """Closure of base | add for a closed base; None as soon as it meets forbidden.
+
+        Only the elements of ``add`` and the ones they force are pushed: a
+        rule whose premises all lie in the closed base already has its
+        conclusions there.  The early exit makes the lectic validity test of
+        the enumeration cheap: most candidates die on their first forbidden
+        element.
         """
+        result = base | add
         if not self._prem:
-            return mask
+            return result
         by_elem = self._by_elem
         prem = self._prem
         conc = self._conc
-        result = mask
         stack = []
-        bits = mask
+        bits = add
         while bits:
             low = bits & -bits
             stack.append(low.bit_length() - 1)

@@ -12,9 +12,13 @@ Three counting paths are kept, each where it serves best.
   endpoints of its intervals, and every kept rule concludes only intervals
   within the level of its largest premise endpoint, so that table closes a
   set of the first k levels exactly as the table of k would.
-- Next-Closure enumeration walks every closed set in lectic order.  It is
-  the engine of ``list`` and ``lattice`` and the second algorithm that the
-  layer transfer is compared with.
+- Enumeration walks every closed set in lectic order by Close-by-One
+  (``_lectic_masks``): the stream and the candidate tests are those of
+  Next-Closure, but each candidate is saturated from its closed parent
+  rather than from scratch.  It is the engine of ``list`` and ``lattice``
+  and the second algorithm that the layer transfer is compared with; the
+  CLI keeps the name ``next-closure`` for it because its output is
+  unchanged.  The layer transfer reads each family from the same walk.
 - The subset sweep (the cross-check of both, usable while the universe fits
   a bit cap) holds one boolean per subset, 2^size bytes, and strikes out
   every subset that breaks a rule through strided views of that array; it
@@ -26,7 +30,7 @@ with each family is the sum over states of multiplicity times the number of
 layers leading to it.  No proof of that condition is known here.  The test
 suite checks it on every closed set, not only on representatives, for all
 non-empty specs through level 6, which makes the counts for n <= 6 exact; it
-says nothing about larger n.  There the counts are backed by Next-Closure
+says nothing about larger n.  There the counts are backed by enumeration
 where it was run, by closed forms, and for C against K by the dual spec's
 run, which merges differently (1,430 states against 6,336 at n = 8).  The
 empty spec has no rules, so its family is every subset of the layer and a
@@ -57,38 +61,51 @@ def _lectic_masks(
 ) -> Iterator[int]:
     """Closed sets in lectic order, restricted to a fixed membership prefix.
 
-    The lectic order is induced by the canonical interval index: candidates
-    are produced by the step closure((A & below_i) | bit_i) and accepted when
-    no new element below i appears.  With ``fixed_bits`` > 0 only closed sets
-    whose membership pattern on indices < fixed_bits equals ``prefix`` are
-    produced; index i < fixed_bits is never used as a candidate, so each
-    prefix block yields a contiguous slice of the unrestricted stream.  With
-    ``size`` only indices below it are candidates; when ``size`` ends a
-    level, the sets produced are the closed sets of that level (see the
-    module docstring).
+    The lectic order is induced by the canonical interval index: of two
+    sets, the one holding their lowest differing index comes later.  The
+    sets are produced by Close-by-One, a depth-first walk in which a closed
+    set B reached by adding index g (the root: g = fixed_bits - 1) has as
+    children the candidates closure(B | bit_j) for j > g not in B, tried
+    from the highest j down and accepted when no new element falls below j.
+    Pre-order with decreasing j is the lectic order.  The walk yields the
+    stream of Next-Closure and makes the same candidate tests: for closed A
+    and i not in A, B = closure(A & below_i) is closed, agrees with A below
+    i, and
+
+        closure((A & below_i) | bit_i) = closure(B | bit_i),
+
+    so Next-Closure's step from A at i is Close-by-One's test at B and j = i.
+    Each candidate is saturated by ``RuleTable.extend`` from its closed
+    parent, pushing only the new element instead of the whole prefix.
+
+    With ``fixed_bits`` > 0 only closed sets whose membership pattern on
+    indices < fixed_bits equals ``prefix`` are produced; index i <
+    fixed_bits is never used as a candidate, so each prefix block yields a
+    contiguous slice of the unrestricted stream.  With ``size`` only indices
+    below it are candidates; when ``size`` ends a level, the sets produced
+    are the closed sets of that level (see the module docstring).
     """
-    closure = table.closure
+    extend = table.extend
     size = table.size if size is None else size
     window = (1 << fixed_bits) - 1
-    current = closure(prefix)
-    if current & window != prefix:
+    root = table.closure(prefix)
+    if root & window != prefix:
         return
-    yield current
-    while True:
-        nxt = None
-        for i in range(size - 1, fixed_bits - 1, -1):
-            bit = 1 << i
-            if current & bit:
-                continue
-            below = bit - 1
-            cand = closure((current & below) | bit, below & ~current)
-            if cand is not None:
-                nxt = cand
-                break
-        if nxt is None:
-            return
-        current = nxt
-        yield current
+    yield root
+    # (closed base, next candidate index, lowest candidate index)
+    stack = [(root, size - 1, fixed_bits)]
+    while stack:
+        base, j, low = stack.pop()
+        while j >= low:
+            bit = 1 << j
+            if not base & bit:
+                cand = extend(base, bit, (bit - 1) & ~base)
+                if cand is not None:
+                    yield cand
+                    stack.append((base, j - 1, low))
+                    base, j, low = cand, size - 1, j + 1
+                    continue
+            j -= 1
 
 
 def iter_closed_sets(n: int, spec: ClosureSpec) -> Iterator[IntervalSet]:
@@ -99,7 +116,7 @@ def iter_closed_sets(n: int, spec: ClosureSpec) -> Iterator[IntervalSet]:
 
 
 def count_next_closure(n: int, spec: ClosureSpec) -> int:
-    """Number of closed sets, by Next-Closure enumeration."""
+    """Number of closed sets, by lectic enumeration (the CLI's ``next-closure``)."""
     table = build_table(n, spec)
     return sum(1 for _ in _lectic_masks(table))
 

@@ -157,6 +157,31 @@ def test_rule_table_closure_laws(case):
     assert table.is_closed(ca)
 
 
+@st.composite
+def _table_base_add_forbidden(draw):
+    """A rule table of any spec at n <= 5, a closed base, any add, and a forbidden mask disjoint from both."""
+    spec = draw(st.sampled_from(ClosureSpec.all_specs()))
+    n = draw(st.integers(1, 5))
+    full = (1 << universe_size(n)) - 1
+    table = build_table(n, spec)
+    base = table.closure(draw(st.integers(0, full)))
+    add = draw(st.integers(0, full))
+    return table, base, add, draw(st.integers(0, full)) & ~(base | add)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(_table_base_add_forbidden())
+def test_rule_table_extend_is_closure_from_closed_base(case):
+    table, base, add, forbidden = case
+    whole = table.closure(base | add)
+    got = table.extend(base, add, forbidden)
+    if whole & forbidden:
+        assert got is None
+    else:
+        assert got == whole
+        assert table.is_closed(got)
+
+
 def test_intersection_of_closed_is_closed():
     n = 2
     for spec in ClosureSpec.all_specs():

@@ -9,6 +9,7 @@ import pytest
 from intervalcat.closure import ClosureSpec, build_table, is_closed
 from intervalcat.counting import (
     _family,
+    _lectic_masks,
     count_brute,
     count_layers,
     count_next_closure,
@@ -21,7 +22,7 @@ from intervalcat.errors import CapExceeded
 from intervalcat.intervals import IntervalSet, hom_dim, universe_size
 from intervalcat.oracle import barcode, cokernel_rep, morphism_between_sums
 
-from helpers import hasse_covers
+from helpers import closed_masks, hasse_covers
 
 
 def spec(text: str) -> ClosureSpec:
@@ -62,6 +63,45 @@ def test_enumeration_is_lectic_and_distinct():
     for a, b in zip(seen, seen[1:]):
         low = (a ^ b) & -(a ^ b)
         assert b & low
+
+
+def _lectic_sorted(masks, size: int) -> list[int]:
+    """Masks in lectic order: the lowest differing index decides, the set holding it is later.
+
+    Reversing the bits makes index 0 the most significant one, so that order
+    is the integer order of the reversed masks.
+    """
+    return sorted(masks, key=lambda m: int(format(m, f"0{size}b")[::-1], 2))
+
+
+def _swept_closed_masks(n: int, s: ClosureSpec) -> set[int]:
+    rules: dict[int, int] = {}
+    for prem, conc in build_table(n, s).rules():
+        rules[prem] = rules.get(prem, 0) | conc
+    return closed_masks(n, rules)
+
+
+def test_lectic_stream_is_exact_all_specs():
+    """The enumeration stream is every closed set of the sweep, in lectic order.
+
+    Each prefix-restricted stream that ``_family`` reads from the n = 5
+    table is the slice of the unrestricted stream of level + 1 whose first
+    ``level`` levels equal the prefix, in the same order.
+    """
+    for s in ClosureSpec.all_specs():
+        streams = {0: [0]}
+        for n in range(1, 6):
+            stream = list(_lectic_masks(build_table(n, s)))
+            assert stream == _lectic_sorted(_swept_closed_masks(n, s), universe_size(n)), (str(s), n)
+            streams[n] = stream
+        table = build_table(5, s)
+        for level in range(5):
+            fixed = level * (level + 1) // 2
+            window = (1 << fixed) - 1
+            for prefix in streams[level]:
+                got = list(_lectic_masks(table, fixed, prefix, fixed + level + 1))
+                want = [m for m in streams[level + 1] if m & window == prefix]
+                assert got == want, (str(s), level, prefix)
 
 
 def test_closed_count_matches_oracle_closedness_semantics():
