@@ -49,10 +49,14 @@ Rules are (premise mask, conclusion mask) pairs over canonical interval
 indices from generation to table.  They are generated sorted by premise
 size, premise indices and operation, and that order is the order in which
 the table prunes them: a rule is kept with only the conclusions that the
-rules before it do not already force.  The closure of a set is the least
-fixed point of the rule system, computed by worklist saturation over
-bitmasks; ``RuleTable.extend`` saturates a closed base plus new elements,
-pushing only the new ones.
+rules before it do not already force.  Whether they force them is an
+implication test, the membership test for implied dependencies (Beeri and
+Bernstein, 1979): the premises are saturated only until every conclusion
+is covered, and only a rule that keeps some conclusion costs a full
+closure.  The closure of a set is the least fixed point of the rule
+system, computed by worklist saturation over bitmasks; ``RuleTable.extend``
+saturates a closed base plus new elements, pushing only the new ones, and
+is the one saturation loop.
 """
 
 from __future__ import annotations
@@ -212,7 +216,10 @@ class RuleTable:
     gives, saturates each rule's premises against the rules kept so far and
     drops conclusions that are already forced; this prunes the table without
     changing the closure operator, and which rules survive depends on that
-    order.
+    order.  The saturation stops as soon as every conclusion is forced: the
+    rule is then dropped whole, and a rule with a conclusion left over was
+    saturated to the full closure, so the kept conclusions are exactly those
+    outside the closure of the premises.
     """
 
     __slots__ = ("n", "spec", "size", "_prem", "_conc", "_by_elem")
@@ -225,7 +232,7 @@ class RuleTable:
         self._conc: list[int] = []
         self._by_elem: list[list[int]] = [[] for _ in range(self.size)]
         for pmask, cmask in rule_instances(n, spec):
-            forced = self.closure(pmask)
+            forced = self.extend(0, pmask, until=cmask)
             new = cmask & ~forced
             if not new:
                 continue
@@ -246,7 +253,7 @@ class RuleTable:
         """Least fixed point containing mask; None as soon as it meets forbidden."""
         return self.extend(0, mask, forbidden)
 
-    def extend(self, base: int, add: int, forbidden: int = 0) -> Optional[int]:
+    def extend(self, base: int, add: int, forbidden: int = 0, until: int = -1) -> Optional[int]:
         """Closure of base | add for a closed base; None as soon as it meets forbidden.
 
         Only the elements of ``add`` and the ones they force are pushed: a
@@ -254,9 +261,15 @@ class RuleTable:
         conclusions there.  The early exit makes the lectic validity test of
         the enumeration cheap: most candidates die on their first forbidden
         element.
+
+        ``until`` is the goal of an implication test: the saturation returns
+        as soon as the result contains all of it.  A result returned early
+        that way lies inside the closure but is not a closure; when the
+        closure does not contain ``until``, the closure is returned.  The
+        default -1 never triggers.
         """
         result = base | add
-        if not self._prem:
+        if not self._prem or result & until == until:
             return result
         by_elem = self._by_elem
         prem = self._prem
@@ -277,6 +290,8 @@ class RuleTable:
                         if new & forbidden:
                             return None
                         result |= new
+                        if result & until == until:
+                            return result
                         bits = new
                         while bits:
                             low = bits & -bits

@@ -11,7 +11,7 @@ GF(2) representations in :mod:`intervalcat.oracle`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import total_ordering
+from functools import lru_cache, total_ordering
 from math import isqrt
 from typing import Iterable, Iterator, Optional
 
@@ -269,7 +269,8 @@ class IntervalSet:
 
     def to_literal(self) -> str:
         """Wire form "a,b;c,d;..." in canonical index order ('' for the empty set)."""
-        return ";".join(iv.to_text() for iv in self.members)
+        texts = _interval_texts(self.n)
+        return ";".join(texts[i] for i in _iter_bits(self.mask))
 
     @classmethod
     def from_literal(cls, n: int, text: str) -> "IntervalSet":
@@ -280,6 +281,12 @@ class IntervalSet:
 
     def __str__(self) -> str:
         return "{" + ",".join(str(iv) for iv in self.members) + "}"
+
+
+@lru_cache(maxsize=None)
+def _interval_texts(n: int) -> tuple[str, ...]:
+    """The wire form of every interval inside {1..n}, by canonical index."""
+    return tuple(iv.to_text() for iv in all_intervals(n))
 
 
 def _iter_bits(mask: int) -> Iterator[int]:

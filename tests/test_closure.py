@@ -27,7 +27,13 @@ from intervalcat.oracle import (
     sum_of,
 )
 
-from helpers import full_rule_instances, random_morphism_coeffs, random_set, random_sum_members
+from helpers import (
+    full_closure_pruned_rules,
+    full_rule_instances,
+    random_morphism_coeffs,
+    random_set,
+    random_sum_members,
+)
 
 
 class TestClosureSpec:
@@ -180,6 +186,39 @@ def test_rule_table_extend_is_closure_from_closed_base(case):
     else:
         assert got == whole
         assert table.is_closed(got)
+
+
+@st.composite
+def _table_base_add_until(draw):
+    """A rule table of any spec at n <= 5, a closed base, any add and any goal mask."""
+    spec = draw(st.sampled_from(ClosureSpec.all_specs()))
+    n = draw(st.integers(1, 5))
+    full = (1 << universe_size(n)) - 1
+    table = build_table(n, spec)
+    base = table.closure(draw(st.integers(0, full)))
+    return table, base, draw(st.integers(0, full)), draw(st.integers(0, full))
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(_table_base_add_until())
+def test_rule_table_extend_until_stops_inside_closure(case):
+    table, base, add, until = case
+    whole = table.closure(base | add)
+    got = table.extend(base, add, 0, until)
+    assert got & (base | add) == base | add
+    assert got & whole == got
+    if until & whole == until:
+        assert got & until == until
+    else:
+        assert got == whole
+
+
+def test_table_equals_full_closure_pruning():
+    # the goal-directed redundancy test keeps exactly the rules a full closure keeps
+    cases = [(n, spec) for n in range(1, 9) for spec in ClosureSpec.all_specs()]
+    cases += [(11, ClosureSpec.parse(text)) for text in ("CK", "CKE", "QSCKE")]
+    for n, spec in cases:
+        assert list(build_table(n, spec).rules()) == full_closure_pruned_rules(n, spec), (n, str(spec))
 
 
 def test_intersection_of_closed_is_closed():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from intervalcat.intervals import (
@@ -199,6 +201,15 @@ class TestIntervalSet:
         assert s.to_literal() == "1,2;3,3"
         assert IntervalSet.from_literal(3, "3,3; 1,2") == s
         assert IntervalSet.from_literal(3, "") == IntervalSet.empty(3)
+
+    def test_literal_equals_per_member_join(self):
+        # the cached wire forms give the bytes of joining each member's to_text
+        masks = [(n, m) for n in (1, 2, 3) for m in range(1 << universe_size(n))]
+        rng = random.Random(47)
+        masks += [(7, rng.getrandbits(universe_size(7))) for _ in range(200)]
+        for n, m in masks:
+            s = IntervalSet(n, m)
+            assert s.to_literal() == ";".join(iv.to_text() for iv in s.members), (n, m)
 
     def test_set_algebra(self):
         a = IntervalSet.from_indices(3, [0, 1])
