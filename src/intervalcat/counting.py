@@ -173,7 +173,7 @@ def count_layers(n: int, spec: ClosureSpec) -> int:
     return count
 
 
-def count_brute(n: int, spec: ClosureSpec, max_bits: int = BRUTE_CAP_BITS) -> int:
+def count_brute(n: int, spec: ClosureSpec) -> int:
     """Number of closed sets, by checking every subset of the universe.
 
     The subsets are one boolean array of shape (2,) * size, where element
@@ -182,12 +182,12 @@ def count_brute(n: int, spec: ClosureSpec, max_bits: int = BRUTE_CAP_BITS) -> in
     conclusion bit j; for each rule and each j, the strided view that fixes
     the premise axes at 1 and axis j at 0 is set to False.  Premises and
     conclusions of a table rule are disjoint.  The array takes 2^size
-    bytes (2 MB at n = 6, 16 MB at the default cap of 24 bits) and nothing
-    is copied.
+    bytes (2 MB at n = 6, 16 MB at the cap of ``BRUTE_CAP_BITS`` = 24 bits)
+    and nothing is copied.
     """
     size = universe_size(n)
-    if size > max_bits:
-        raise CapExceeded(f"subset sweep needs {size} bits, cap is {max_bits}")
+    if size > BRUTE_CAP_BITS:
+        raise CapExceeded(f"subset sweep needs {size} bits, cap is {BRUTE_CAP_BITS}")
     table = build_table(n, spec)
     ok = np.ones((2,) * size, dtype=bool)
     for prem, conc in table.rules():
@@ -238,13 +238,8 @@ class SequenceReport:
     def counts(self) -> list[int]:
         return [c for _, c in self.terms]
 
-    def to_json_dict(self, include_timings: bool = False) -> dict:
-        terms = []
-        for (n, count), secs in zip(self.terms, self.elapsed):
-            term = {"n": n, "count": count}
-            if include_timings:
-                term["seconds"] = secs
-            terms.append(term)
+    def to_json_dict(self) -> dict:
+        terms = [{"n": n, "count": count} for n, count in self.terms]
         return {"ops": str(self.spec), "algorithm": self.algorithm, "terms": terms}
 
     def to_csv(self, reference: bool = False) -> str:

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import json
-import time
+import shlex
+from pathlib import Path
 
 import intervalcat.cli as cli
 from intervalcat.cli import main
@@ -90,6 +91,15 @@ def test_sequence_table_and_compare(capsys):
     assert len(lines) == 4
     assert lines[0].split() == ["1", "2", "ref=2", "ok"]
     assert lines[3].split() == ["4", "42", "ref=42", "ok"]
+
+
+def test_sequence_compare_needs_a_format_with_references(capsys):
+    for fmt in ("json", "oeis"):
+        code, out, err = run(capsys, "sequence", "--ops", "QE", "--n-max", "3", "--compare", "--format", fmt)
+        assert code == 2 and out == ""
+        assert "table" in err and "csv" in err
+    code, out, _ = run(capsys, "sequence", "--ops", "QE", "--n-max", "2", "--compare", "--format", "csv")
+    assert code == 0 and out == "n,count,reference,match\n1,2,2,true\n2,5,5,true\n"
 
 
 def test_sequence_csv(capsys):
@@ -179,25 +189,26 @@ def test_poset_report(capsys, tmp_path):
     f.write_text("a\nb\nc\na <= b\nb <= c\n", encoding="utf-8")
     code, out, _ = run(capsys, "poset", "--file", str(f))
     assert code == 0
-    assert "elements = 3" in out
-    assert "ideals = 4" in out
-    assert "distributive = true" in out
-    assert "subfunctors_match = true" in out
-    assert "coherent = true" in out
-    assert "compact_meet = true" in out
-    assert "incidence_dimension = 6" in out
-    assert "incidence_associative = true" in out
+    assert out == (
+        "elements = 3\n"
+        "ideals = 4\n"
+        "subfunctors[a] = 2 (ideals_below = 2, match = true)\n"
+        "subfunctors[b] = 3 (ideals_below = 3, match = true)\n"
+        "subfunctors[c] = 4 (ideals_below = 4, match = true)\n"
+        "subfunctors_match = true\n"
+        "incidence_dimension = 6\n"
+    )
 
 
-def test_poset_compact_meet_cap_exit_3(capsys, tmp_path):
-    # 2^19 + 1 ideals below the top: the uncapped pairwise sweep would run for days
-    f = tmp_path / "wide.poset"
-    f.write_text("".join(f"a{i} <= t\n" for i in range(19)), encoding="utf-8")
-    t0 = time.perf_counter()
-    code, _, err = run(capsys, "poset", "--file", str(f), "--checks", "compact-meet")
-    assert code == 3
-    assert time.perf_counter() - t0 < 1.0
-    assert "compact-meet" in err
+def test_poset_report_on_wide_antichain(capsys, tmp_path):
+    # 2^15 ideals: the default report prints every output, with no pairwise sweep over ideals
+    f = tmp_path / "anti.poset"
+    f.write_text("".join(f"a{i}\n" for i in range(15)), encoding="utf-8")
+    code, out, _ = run(capsys, "poset", "--file", str(f))
+    assert code == 0
+    assert "ideals = 32768\n" in out
+    assert "subfunctors_match = true\n" in out
+    assert out.endswith("incidence_dimension = 15\n")
 
 
 def test_poset_chain_check(capsys, tmp_path):
@@ -228,8 +239,10 @@ def test_poset_missing_file_exit_2(capsys, tmp_path):
 def test_poset_unknown_check_exit_2(capsys, tmp_path):
     f = tmp_path / "p.poset"
     f.write_text("a\n", encoding="utf-8")
-    code, _, _ = run(capsys, "poset", "--file", str(f), "--checks", "bogus")
-    assert code == 2
+    for check in ("bogus", "distributive", "coherent", "compact-meet"):
+        code, out, err = run(capsys, "poset", "--file", str(f), "--checks", check)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: unknown check {check!r}")
 
 
 def test_byte_determinism(capsys):
@@ -239,3 +252,16 @@ def test_byte_determinism(capsys):
     first = run(capsys, "lattice", "--n", "2", "--ops", "E")
     second = run(capsys, "lattice", "--n", "2", "--ops", "E")
     assert first == second
+
+
+def test_readme_command_examples_run(capsys, tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    commands = [argv for argv in commands if argv]
+    assert commands and all(argv[0] == "intervalcat" for argv in commands)
+    (tmp_path / "chain.poset").write_text("a <= b\nb <= c\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        code, _, err = run(capsys, *argv[1:])
+        assert code == 0, (argv, err)
