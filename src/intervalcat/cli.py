@@ -13,6 +13,7 @@ import sys
 from .closure import ClosureSpec, closure
 from .counting import (
     BRUTE_CAP_BITS,
+    LATTICE_CAP,
     count_brute,
     count_layers,
     count_next_closure,
@@ -23,7 +24,7 @@ from .counting import (
 )
 from .errors import CapExceeded
 from .intervals import IntervalSet, universe_size
-from .posets import chain_equivalence_check, ideals, incidence_algebra, load_poset, subfunctor_count
+from .posets import SUBFUNCTOR_CAP, chain_equivalence_check, ideals, incidence_algebra, load_poset, subfunctor_count
 
 _ALGORITHMS = ("layers", "next-closure", "brute")
 _ALGORITHM_HELP = (
@@ -162,10 +163,13 @@ def cmd_poset(args: argparse.Namespace) -> int:
     if "ideals" in checks:
         print(f"ideals = {len(ideals(p))}")
     if "subfunctors" in checks:
+        supports = sum(1 << down.bit_count() for down in p.down)
+        if supports > SUBFUNCTOR_CAP:
+            raise CapExceeded(f"the subfunctor report sweeps {supports} supports, cap is {SUBFUNCTOR_CAP}")
+        below = [len(ideals(p.restrict(down))) for down in p.down]
         all_match = True
-        for x in p.elements:
+        for x, down_ideals in zip(p.elements, below):
             count = subfunctor_count(p, x)
-            down_ideals = len(ideals(p.restrict(p.down[p.index(x)])))
             match = count == down_ideals
             all_match &= match
             print(f"subfunctors[{x}] = {count} (ideals_below = {down_ideals}, match = {str(match).lower()})")
@@ -231,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     h.add_argument("--n", type=int, required=True)
     add_ops(h)
     h.add_argument("--format", choices=("dot", "json"), default="dot")
-    h.add_argument("--max-members", type=int, default=4096)
+    h.add_argument("--max-members", type=int, default=LATTICE_CAP)
     h.set_defaults(func=cmd_lattice)
 
     q = sub.add_parser("poset", help="count ideals and subfunctors of a poset file")

@@ -31,14 +31,44 @@ follows.
   reduces several targets to one, and the order-reversing involution turns
   the nested-target argument into a nested-source one.
 
-The generated rules follow these reductions:
+Generation follows these reductions.  Two-target cokernel and two-source
+kernel rules are emitted only for strictly nested pairs: a non-nested pair
+reduces by a shear to the single-target (single-source) rule.  There are
+no C rules under Q, as a cokernel of a map into a sum is a quotient of
+that sum and quotients of sums reduce to single summands, and dually no K
+rules under S.  The flags left are the essential flags F, and a rule that
+F derives from other rules is skipped:
 
-- Two-target cokernel and two-source kernel rules are emitted only for
-  strictly nested pairs: a non-nested pair reduces by a shear to the
-  single-target (single-source) rule.
-- No C rules when Q is chosen: a cokernel of a map into a sum is a
-  quotient of that sum, and quotients of sums reduce to single summands.
-- No K rules when S is chosen, by the dual argument.
+- R1. Two-target cokernel rules only when F = {C}.  For x = [a, b] into
+  y1 = [c1, d1] strictly containing y2 = [c2, d2] the cokernel is
+  coker(x -> y2) plus [c2, d1], and [c2, d1] is coker([c1, c2-1] -> y1)
+  with [c1, c2-1] a subobject of y1 (S), coker(ker(x -> y2) -> y1) with
+  ker(x -> y2) = [a, c2-1] (K), or a middle summand of the extension of
+  coker(x -> y1) = [b+1, d1] by y2 (E).  Dually, two-source kernel rules
+  only when F = {K}, with Q, C or E in place of S, K or E.
+- R2. One-source kernel rules y = [c, d] -> x = [a, b] with d < b only
+  without Q and E.  Their kernel [c, a-1] is that of y -> [a, d], and
+  [a, d] is a quotient of y (Q) or the second middle summand of the
+  extension of x by y (E).
+- R3. Dually, one-target cokernel rules x = [a, b] -> y = [c, d] with
+  a < c only without S and E: [b+1, d] is coker([c, b] -> y), and [c, b]
+  is a subobject of y (S) or the second middle summand of the extension
+  of y by x (E).
+- R4. Extensions with two middle summands only without Q and S.  With
+  lower term [a, b] and upper term [a', b'] the middle is
+  [a, b'] + [a', b].  [a', b] is a quotient of the lower term (Q) or a
+  subobject of the upper (S); [a, b'] is the one middle summand of the
+  extension of [b+1, b'], a quotient of the upper term, by the lower (Q),
+  or of the upper term by [a, a'-1], a subobject of the lower (S).
+
+Every derivation ends in rules that are never skipped: Q and S rules,
+extensions with one middle summand, and one-target cokernel (one-source
+kernel) rules with equal starts (ends).  R2 and R3 also use a two-summand
+extension, R2 only without Q and with K (so without S), R3 dually, so it
+is generated.  R1 uses one-target cokernel, one-source kernel, Q, S and
+extension rules, each generated or derived by R2 to R4; it needs its
+extension only without S, and with C (so without Q), so that extension
+rule is generated.  No skipped rule is derived from itself.
 
 These bounds are what the acceptance suite's oracle certificate relies on:
 for n <= 4 it compares the C and CK closed families with those of Horn
@@ -46,17 +76,11 @@ rules read off the GF(2) oracle for every map with one source and at most
 three targets (and, for kernels, at most three sources and one target).
 
 Rules are (premise mask, conclusion mask) pairs over canonical interval
-indices from generation to table.  They are generated sorted by premise
-size, premise indices and operation, and that order is the order in which
-the table prunes them: a rule is kept with only the conclusions that the
-rules before it do not already force.  Whether they force them is an
-implication test, the membership test for implied dependencies (Beeri and
-Bernstein, 1979): the premises are saturated only until every conclusion
-is covered, and only a rule that keeps some conclusion costs a full
-closure.  The closure of a set is the least fixed point of the rule
-system, computed by worklist saturation over bitmasks; ``RuleTable.extend``
-saturates a closed base plus new elements, pushing only the new ones, and
-is the one saturation loop.
+indices from generation to table; instances with equal premises are
+merged into one rule.  The closure of a set is the least fixed point of
+the rule system, computed by worklist saturation over bitmasks;
+``RuleTable.extend`` saturates a closed base plus new elements, pushing
+only the new ones, and is the one saturation loop.
 """
 
 from __future__ import annotations
@@ -154,73 +178,70 @@ def _strictly_nested(u: Interval, v: Interval) -> bool:
 def rule_instances(n: int, spec: ClosureSpec) -> list[tuple[int, int]]:
     """A finite rule set whose closure operator is that of (n, spec).
 
-    Each rule is a (premise mask, conclusion mask) pair over canonical
-    interval indices.  Only the instances the module docstring's reductions
-    leave are generated.  Conclusions that already appear among the premises
-    are dropped, as are zero objects; instances left with no conclusions are
-    omitted.  Instances of one operation with equal premises are merged, and
-    the rules are sorted by premise size, then premise indices, then
-    operation: the order in which ``RuleTable`` prunes them.
+    Only the instances the module docstring's reductions leave are
+    generated.  Conclusions among the premises and zero objects are
+    dropped, instances left with no conclusions are omitted, and instances
+    with equal premises are merged, whatever their operations.
     """
     ivs = all_intervals(n)
     flags = _essential_flags(spec)
-    merged: dict[tuple[str, int], int] = {}
+    merged: dict[int, int] = {}
 
-    def add(tag: str, prem: int, conclusions: Iterable[Interval]) -> None:
+    def add(prem: int, conclusions: Iterable[Interval]) -> None:
         conc = 0
         for y in conclusions:
             conc |= 1 << y.index
         conc &= ~prem
         if conc:
-            merged[tag, prem] = merged.get((tag, prem), 0) | conc
+            merged[prem] = merged.get(prem, 0) | conc
 
     if "Q" in flags:
         for i, x in enumerate(ivs):
-            add("Q", 1 << i, quotients(x))
+            add(1 << i, quotients(x))
     if "S" in flags:
         for i, x in enumerate(ivs):
-            add("S", 1 << i, subobjects(x))
+            add(1 << i, subobjects(x))
     if "E" in flags:
+        split_middles = flags.isdisjoint("QS")  # R4
         for i, lower in enumerate(ivs):
             for j, upper in enumerate(ivs):
                 middle = ext_middle(upper, lower)
                 if middle is None:
                     continue
                 y, yp = middle
-                add("E", 1 << i | 1 << j, [y] if yp is None else [y, yp])
+                if yp is None:
+                    add(1 << i | 1 << j, [y])
+                elif split_middles:
+                    add(1 << i | 1 << j, [y, yp])
     if "C" in flags:
+        any_start = flags.isdisjoint("SE")  # R3
+        pairs = flags == {"C"}  # R1
         for i, x in enumerate(ivs):
             targets = [(1 << j, y) for j, y in enumerate(ivs) if hom_dim(x, y)]
             for k, (b1, y1) in enumerate(targets):
-                add("C", 1 << i | b1, cokernel_single(x, y1))
-                for b2, y2 in targets[k + 1:]:
-                    if _strictly_nested(y1, y2):
-                        add("C", 1 << i | b1 | b2, cokernel_pair(x, y1, y2))
+                if any_start or y1.a == x.a:
+                    add(1 << i | b1, cokernel_single(x, y1))
+                if pairs:
+                    for b2, y2 in targets[k + 1:]:
+                        if _strictly_nested(y1, y2):
+                            add(1 << i | b1 | b2, cokernel_pair(x, y1, y2))
     if "K" in flags:
+        any_end = flags.isdisjoint("QE")  # R2
+        pairs = flags == {"K"}  # R1
         for i, x in enumerate(ivs):
             sources = [(1 << j, y) for j, y in enumerate(ivs) if hom_dim(y, x)]
             for k, (b1, y1) in enumerate(sources):
-                add("K", b1 | 1 << i, kernel_single(y1, x))
-                for b2, y2 in sources[k + 1:]:
-                    if _strictly_nested(y1, y2):
-                        add("K", b1 | b2 | 1 << i, kernel_pair(y1, y2, x))
-    # (tag, premise) is unique, so the conclusion never decides the order.
-    order = sorted(merged, key=lambda key: (key[1].bit_count(), tuple(_iter_bits(key[1])), key[0]))
-    return [(prem, merged[tag, prem]) for tag, prem in order]
+                if any_end or y1.b == x.b:
+                    add(b1 | 1 << i, kernel_single(y1, x))
+                if pairs:
+                    for b2, y2 in sources[k + 1:]:
+                        if _strictly_nested(y1, y2):
+                            add(b1 | b2 | 1 << i, kernel_pair(y1, y2, x))
+    return list(merged.items())
 
 
 class RuleTable:
-    """The rules of ``rule_instances``, pruned, with a premise-indexed worklist.
-
-    Building the table takes the rules in the order ``rule_instances``
-    gives, saturates each rule's premises against the rules kept so far and
-    drops conclusions that are already forced; this prunes the table without
-    changing the closure operator, and which rules survive depends on that
-    order.  The saturation stops as soon as every conclusion is forced: the
-    rule is then dropped whole, and a rule with a conclusion left over was
-    saturated to the full closure, so the kept conclusions are exactly those
-    outside the closure of the premises.
-    """
+    """Every rule of ``rule_instances``, indexed by premise element for the worklist."""
 
     __slots__ = ("n", "spec", "size", "_prem", "_conc", "_by_elem")
 
@@ -228,22 +249,13 @@ class RuleTable:
         self.n = n
         self.spec = spec
         self.size = universe_size(n)
-        self._prem: list[int] = []
-        self._conc: list[int] = []
+        rules = rule_instances(n, spec)
+        self._prem = [p for p, _ in rules]
+        self._conc = [c for _, c in rules]
         self._by_elem: list[list[int]] = [[] for _ in range(self.size)]
-        for pmask, cmask in rule_instances(n, spec):
-            forced = self.extend(0, pmask, until=cmask)
-            new = cmask & ~forced
-            if not new:
-                continue
-            idx = len(self._prem)
-            self._prem.append(pmask)
-            self._conc.append(new)
-            bits = pmask
-            while bits:
-                low = bits & -bits
-                self._by_elem[low.bit_length() - 1].append(idx)
-                bits ^= low
+        for idx, pmask in enumerate(self._prem):
+            for i in _iter_bits(pmask):
+                self._by_elem[i].append(idx)
 
     @property
     def rule_count(self) -> int:
@@ -253,7 +265,7 @@ class RuleTable:
         """Least fixed point containing mask; None as soon as it meets forbidden."""
         return self.extend(0, mask, forbidden)
 
-    def extend(self, base: int, add: int, forbidden: int = 0, until: int = -1) -> Optional[int]:
+    def extend(self, base: int, add: int, forbidden: int = 0) -> Optional[int]:
         """Closure of base | add for a closed base; None as soon as it meets forbidden.
 
         Only the elements of ``add`` and the ones they force are pushed: a
@@ -261,42 +273,26 @@ class RuleTable:
         conclusions there.  The early exit makes the lectic validity test of
         the enumeration cheap: most candidates die on their first forbidden
         element.
-
-        ``until`` is the goal of an implication test: the saturation returns
-        as soon as the result contains all of it.  A result returned early
-        that way lies inside the closure but is not a closure; when the
-        closure does not contain ``until``, the closure is returned.  The
-        default -1 never triggers.
         """
         result = base | add
-        if not self._prem or result & until == until:
-            return result
         by_elem = self._by_elem
         prem = self._prem
         conc = self._conc
-        stack = []
-        bits = add
-        while bits:
-            low = bits & -bits
-            stack.append(low.bit_length() - 1)
-            bits ^= low
+        stack = [add]  # masks of elements still to push
         while stack:
-            i = stack.pop()
-            for r in by_elem[i]:
-                p = prem[r]
-                if p & result == p:
-                    new = conc[r] & ~result
-                    if new:
-                        if new & forbidden:
-                            return None
-                        result |= new
-                        if result & until == until:
-                            return result
-                        bits = new
-                        while bits:
-                            low = bits & -bits
-                            stack.append(low.bit_length() - 1)
-                            bits ^= low
+            bits = stack.pop()
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                for r in by_elem[low.bit_length() - 1]:
+                    p = prem[r]
+                    if p & result == p:
+                        new = conc[r] & ~result
+                        if new:
+                            if new & forbidden:
+                                return None
+                            result |= new
+                            stack.append(new)
         return result
 
     def is_closed(self, mask: int) -> bool:
@@ -306,7 +302,7 @@ class RuleTable:
         return True
 
     def rules(self) -> Iterator[tuple[int, int]]:
-        """The kept rules as (premise mask, conclusion mask); the two are disjoint."""
+        """The rules as (premise mask, conclusion mask); the two are disjoint."""
         return zip(self._prem, self._conc)
 
 

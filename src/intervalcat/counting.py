@@ -9,7 +9,7 @@ Three counting paths are kept, each where it serves best.
   F(X), the layers for which X | L is closed.  Sets with equal families
   are merged into one state.  One run gives every term up to n_max, from
   the one rule table of n_max: a rule instance depends only on the
-  endpoints of its intervals, and every kept rule concludes only intervals
+  endpoints of its intervals, and every rule concludes only intervals
   within the level of its largest premise endpoint, so that table closes a
   set of the first k levels exactly as the table of k would.
 - Enumeration walks every closed set in lectic order by Close-by-One
@@ -78,22 +78,20 @@ def _lectic_masks(
     Each candidate is saturated by ``RuleTable.extend`` from its closed
     parent, pushing only the new element instead of the whole prefix.
 
-    With ``fixed_bits`` > 0 only closed sets whose membership pattern on
-    indices < fixed_bits equals ``prefix`` are produced; index i <
-    fixed_bits is never used as a candidate, so each prefix block yields a
-    contiguous slice of the unrestricted stream.  With ``size`` only indices
-    below it are candidates; when ``size`` ends a level, the sets produced
-    are the closed sets of that level (see the module docstring).
+    The root ``prefix`` must be a closed set within the indices below
+    ``fixed_bits``; 0 is closed, as no rule has an empty premise.  Only
+    closed sets whose membership pattern on indices < fixed_bits equals
+    ``prefix`` are produced; index i < fixed_bits is never used as a
+    candidate, so each prefix block yields a contiguous slice of the
+    unrestricted stream.  With ``size`` only indices below it are
+    candidates; when ``size`` ends a level, the sets produced are the
+    closed sets of that level (see the module docstring).
     """
     extend = table.extend
     size = table.size if size is None else size
-    window = (1 << fixed_bits) - 1
-    root = table.closure(prefix)
-    if root & window != prefix:
-        return
-    yield root
+    yield prefix
     # (closed base, next candidate index, lowest candidate index)
-    stack = [(root, size - 1, fixed_bits)]
+    stack = [(prefix, size - 1, fixed_bits)]
     while stack:
         base, j, low = stack.pop()
         while j >= low:
@@ -124,9 +122,11 @@ def count_next_closure(n: int, spec: ClosureSpec) -> int:
 def _family(table: RuleTable, level: int, mask: int) -> tuple[int, ...]:
     """F(mask): the layers L of level + 1 for which mask | L is closed there.
 
-    ``mask`` is a closed set of the first ``level`` levels.  Each L is given
-    relative to the first index of its layer, in lectic order, so families of
-    different sets compare equal exactly when they hold the same layers.
+    ``mask`` is a closed set of the first ``level`` levels, and so closed
+    under the whole table: a rule with premises there concludes there.  Each
+    L is given relative to the first index of its layer, in lectic order, so
+    families of different sets compare equal exactly when they hold the same
+    layers.
     """
     fixed = level * (level + 1) // 2
     return tuple(m >> fixed for m in _lectic_masks(table, fixed, mask, fixed + level + 1))

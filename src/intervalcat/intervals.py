@@ -35,10 +35,6 @@ class Interval:
         """Canonical index b(b-1)/2 + (a-1); independent of the ambient n."""
         return self.b * (self.b - 1) // 2 + (self.a - 1)
 
-    @property
-    def length(self) -> int:
-        return self.b - self.a
-
     def __lt__(self, other: "Interval") -> bool:
         return (self.b, self.a) < (other.b, other.a)
 

@@ -16,6 +16,7 @@ from .intervals import Interval
 from .oracle import barcode, canonical_morphism, cokernel_rep, module_of
 
 IDEAL_CAP = 1 << 20
+SUBFUNCTOR_CAP = 1 << 22
 
 
 class FinitePoset:
@@ -187,8 +188,8 @@ def subfunctor_count(p: FinitePoset, x: Hashable) -> int:
     """
     down_x = p.down[p.index(x)]
     elems = [i for i in range(len(p)) if (down_x >> i) & 1]
-    if len(elems) > 22:
-        raise CapExceeded(f"lower set of {x!r} has {len(elems)} elements")
+    if 1 << len(elems) > SUBFUNCTOR_CAP:
+        raise CapExceeded(f"lower set of {x!r} has 2^{len(elems)} supports, cap is {SUBFUNCTOR_CAP}")
     pos = {i: k for k, i in enumerate(elems)}
     local_down = [sum(1 << pos[j] for j in elems if (p.down[i] >> j) & 1) for i in elems]
     count = 0

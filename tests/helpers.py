@@ -7,7 +7,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from intervalcat.closure import ClosureSpec, rule_instances
+from intervalcat.closure import ClosureSpec
 from intervalcat.intervals import (
     Interval,
     IntervalSet,
@@ -102,32 +102,6 @@ def full_rule_instances(n: int, spec: ClosureSpec) -> list[tuple[int, int]]:
                 for y2 in sources[i:]:
                     add([y1, y2, x], kernel_pair(y1, y2, x))
     return list(merged.items())
-
-
-def full_closure_pruned_rules(n: int, spec: ClosureSpec) -> list[tuple[int, int]]:
-    """The rule table ``RuleTable`` should build, pruned with full closures.
-
-    Rules are taken in ``rule_instances`` order, and each keeps the
-    conclusions outside the full closure of its premises under the rules
-    kept before it.  That closure is a plain worklist saturation written
-    here, apart from the engine and without its early exits.
-    """
-    kept: list[tuple[int, int]] = []
-    by_elem: list[list[tuple[int, int]]] = [[] for _ in range(universe_size(n))]
-    for pmask, cmask in rule_instances(n, spec):
-        forced = pmask
-        stack = IntervalSet(n, pmask).indices()
-        while stack:
-            for p, c in by_elem[stack.pop()]:
-                if p & forced == p and c & ~forced:
-                    stack += IntervalSet(n, c & ~forced).indices()
-                    forced |= c
-        new = cmask & ~forced
-        if new:
-            kept.append((pmask, new))
-            for i in IntervalSet(n, pmask).indices():
-                by_elem[i].append((pmask, new))
-    return kept
 
 
 def oracle_horn_rules(n: int, rep_of, max_sources: int, max_targets: int) -> dict[int, int]:

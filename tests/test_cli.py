@@ -6,6 +6,8 @@ import json
 import shlex
 from pathlib import Path
 
+import pytest
+
 import intervalcat.cli as cli
 from intervalcat.cli import main
 
@@ -209,6 +211,34 @@ def test_poset_report_on_wide_antichain(capsys, tmp_path):
     assert "ideals = 32768\n" in out
     assert "subfunctors_match = true\n" in out
     assert out.endswith("incidence_dimension = 15\n")
+
+
+@pytest.mark.parametrize("atoms, tops", [(21, 1), (19, 8)])
+def test_poset_subfunctor_work_cap_exit_3(capsys, tmp_path, monkeypatch, atoms, tops):
+    # 2^22 + 42 and 2^23 + 38 supports in total: the cap ends the report before any sweep
+    def no_sweep(p, x):
+        raise AssertionError("swept before the cap check")
+
+    monkeypatch.setattr(cli, "subfunctor_count", no_sweep)
+    f = tmp_path / "wide.poset"
+    f.write_text("".join(f"a{i} <= t{j}\n" for i in range(atoms) for j in range(tops)), encoding="utf-8")
+    code, out, err = run(capsys, "poset", "--file", str(f), "--checks", "subfunctors")
+    supports = 2 ** (atoms + 1) * tops + 2 * atoms
+    assert (code, out) == (3, f"elements = {atoms + tops}\n")
+    assert err == f"error: the subfunctor report sweeps {supports} supports, cap is {1 << 22}\n"
+
+
+def test_poset_subfunctor_cap_is_on_the_total(capsys, tmp_path, monkeypatch):
+    # the 3-chain sweeps 2 + 4 + 8 supports
+    f = tmp_path / "chain.poset"
+    f.write_text("a <= b\nb <= c\n", encoding="utf-8")
+    monkeypatch.setattr(cli, "SUBFUNCTOR_CAP", 14)
+    code, out, _ = run(capsys, "poset", "--file", str(f), "--checks", "subfunctors")
+    assert code == 0 and out.endswith("subfunctors_match = true\n")
+    monkeypatch.setattr(cli, "SUBFUNCTOR_CAP", 13)
+    code, out, err = run(capsys, "poset", "--file", str(f), "--checks", "subfunctors")
+    assert (code, out) == (3, "elements = 3\n")
+    assert err == "error: the subfunctor report sweeps 14 supports, cap is 13\n"
 
 
 def test_poset_chain_check(capsys, tmp_path):

@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intervalcat.closure import ClosureSpec, build_table, closure, is_closed, rule_instances
+from intervalcat.closure import (
+    ClosureSpec,
+    _essential_flags,
+    build_table,
+    closure,
+    is_closed,
+    rule_instances,
+)
 from intervalcat.intervals import (
     Interval,
     IntervalSet,
@@ -28,7 +35,6 @@ from intervalcat.oracle import (
 )
 
 from helpers import (
-    full_closure_pruned_rules,
     full_rule_instances,
     random_morphism_coeffs,
     random_set,
@@ -83,13 +89,11 @@ class TestRuleInstances:
                 assert conc
                 assert not conc & prem
 
-    def test_sorted_by_premise_size_then_indices(self):
-        # the order RuleTable prunes in; the operation breaks ties
-        for spec in (ClosureSpec.parse(s) for s in ("E", "CK", "QSCKE")):
-            keys = [
-                (p.bit_count(), IntervalSet(5, p).indices()) for p, _ in rule_instances(5, spec)
-            ]
-            assert keys == sorted(keys), str(spec)
+    def test_three_premises_only_when_c_or_k_stands_alone(self):
+        # R1 of the closure docstring: any second essential flag derives the pair rules
+        for spec in ClosureSpec.all_specs():
+            three = [p for p, _ in rule_instances(6, spec) if p.bit_count() == 3]
+            assert bool(three) == (_essential_flags(spec) in ({"C"}, {"K"})), str(spec)
 
 
 def _is_closed_by_instances(s: IntervalSet, spec: ClosureSpec) -> bool:
@@ -188,39 +192,6 @@ def test_rule_table_extend_is_closure_from_closed_base(case):
         assert table.is_closed(got)
 
 
-@st.composite
-def _table_base_add_until(draw):
-    """A rule table of any spec at n <= 5, a closed base, any add and any goal mask."""
-    spec = draw(st.sampled_from(ClosureSpec.all_specs()))
-    n = draw(st.integers(1, 5))
-    full = (1 << universe_size(n)) - 1
-    table = build_table(n, spec)
-    base = table.closure(draw(st.integers(0, full)))
-    return table, base, draw(st.integers(0, full)), draw(st.integers(0, full))
-
-
-@settings(derandomize=True, deadline=None, max_examples=400)
-@given(_table_base_add_until())
-def test_rule_table_extend_until_stops_inside_closure(case):
-    table, base, add, until = case
-    whole = table.closure(base | add)
-    got = table.extend(base, add, 0, until)
-    assert got & (base | add) == base | add
-    assert got & whole == got
-    if until & whole == until:
-        assert got & until == until
-    else:
-        assert got == whole
-
-
-def test_table_equals_full_closure_pruning():
-    # the goal-directed redundancy test keeps exactly the rules a full closure keeps
-    cases = [(n, spec) for n in range(1, 9) for spec in ClosureSpec.all_specs()]
-    cases += [(11, ClosureSpec.parse(text)) for text in ("CK", "CKE", "QSCKE")]
-    for n, spec in cases:
-        assert list(build_table(n, spec).rules()) == full_closure_pruned_rules(n, spec), (n, str(spec))
-
-
 def test_intersection_of_closed_is_closed():
     n = 2
     for spec in ClosureSpec.all_specs():
@@ -244,7 +215,7 @@ def test_closedness_duality():
 
 
 def test_table_pruning_keeps_operator():
-    # the engine table drops derivable conclusions; closures must be unchanged
+    # the generated rules skip derivable instances; closures must be unchanged
     rng = random.Random(43)
     for n in (3, 4):
         for spec_str in ("C", "CK", "QSCKE", "E"):
