@@ -18,11 +18,28 @@ Three counting paths are kept, each where it serves best.
   rather than from scratch.  It is the engine of ``list`` and ``lattice``
   and the second algorithm that the layer transfer is compared with; the
   CLI keeps the name ``next-closure`` for it because its output is
-  unchanged.  The layer transfer reads each family from the same walk.
+  unchanged.  The two share only the rule table.
 - The subset sweep (the cross-check of both, usable while the universe fits
   a bit cap) holds one boolean per subset, 2^size bytes, and strikes out
   every subset that breaks a rule through strided views of that array; it
   makes no closure calls.
+
+Each family is read off bitsets, with no closure (``_layer_kernel``).  A
+family is an int with one bit per subset L of layer k+1.  For closed X at
+level k, a rule with all premises in the first k levels concludes there
+and holds in X | L whatever L is, so X | L is closed at level k+1 exactly
+when it keeps every rule whose premises meet layer k+1 and nothing above
+it.  Such a rule has old premises po and conclusions co below the layer,
+and over the subsets L two bitsets: ``up``, the L holding its layer
+premises, and ``viol``, the L in ``up`` lacking one of its layer
+conclusions.  It excludes no L when po is not in X, all of ``up`` when po
+is in X but co is not, and ``viol`` when both are; F(X) is the complement
+of what the rules exclude.  Rules with equal old parts are merged, and the
+bitsets of a level are built, when the transfer reaches it, from the masks
+of the subsets holding each element of the layer.  The sets grown from one
+state agree with it below the layer just added, so the rules that this
+part decides are settled once per state (``_settle``) and only the others
+are tested for each grown set.
 
 The merge of the layer transfer is exact when equal families imply equal
 next families: then, by induction on the level, the number of closed sets
@@ -55,43 +72,35 @@ from .intervals import IntervalSet, _iter_bits, universe_size
 BRUTE_CAP_BITS = 24
 LATTICE_CAP = 4096
 
+# (old premises, old conclusions, up, viol): see ``_layer_kernel``
+_LayerRule = tuple[int, int, int, int]
 
-def _lectic_masks(
-    table: RuleTable, fixed_bits: int = 0, prefix: int = 0, size: Optional[int] = None
-) -> Iterator[int]:
-    """Closed sets in lectic order, restricted to a fixed membership prefix.
+
+def _lectic_masks(table: RuleTable) -> Iterator[int]:
+    """Closed sets in lectic order.
 
     The lectic order is induced by the canonical interval index: of two
     sets, the one holding their lowest differing index comes later.  The
     sets are produced by Close-by-One, a depth-first walk in which a closed
-    set B reached by adding index g (the root: g = fixed_bits - 1) has as
+    set B reached by adding index g (the root, the empty set: g = -1) has as
     children the candidates closure(B | bit_j) for j > g not in B, tried
     from the highest j down and accepted when no new element falls below j.
-    Pre-order with decreasing j is the lectic order.  The walk yields the
-    stream of Next-Closure and makes the same candidate tests: for closed A
-    and i not in A, B = closure(A & below_i) is closed, agrees with A below
-    i, and
+    The empty set is closed, as no rule has an empty premise.  Pre-order
+    with decreasing j is the lectic order.  The walk yields the stream of
+    Next-Closure and makes the same candidate tests: for closed A and i not
+    in A, B = closure(A & below_i) is closed, agrees with A below i, and
 
         closure((A & below_i) | bit_i) = closure(B | bit_i),
 
     so Next-Closure's step from A at i is Close-by-One's test at B and j = i.
     Each candidate is saturated by ``RuleTable.extend`` from its closed
     parent, pushing only the new element instead of the whole prefix.
-
-    The root ``prefix`` must be a closed set within the indices below
-    ``fixed_bits``; 0 is closed, as no rule has an empty premise.  Only
-    closed sets whose membership pattern on indices < fixed_bits equals
-    ``prefix`` are produced; index i < fixed_bits is never used as a
-    candidate, so each prefix block yields a contiguous slice of the
-    unrestricted stream.  With ``size`` only indices below it are
-    candidates; when ``size`` ends a level, the sets produced are the
-    closed sets of that level (see the module docstring).
     """
     extend = table.extend
-    size = table.size if size is None else size
-    yield prefix
+    top = table.size - 1
+    yield 0
     # (closed base, next candidate index, lowest candidate index)
-    stack = [(prefix, size - 1, fixed_bits)]
+    stack = [(0, top, 0)]
     while stack:
         base, j, low = stack.pop()
         while j >= low:
@@ -101,7 +110,7 @@ def _lectic_masks(
                 if cand is not None:
                     yield cand
                     stack.append((base, j - 1, low))
-                    base, j, low = cand, size - 1, j + 1
+                    base, j, low = cand, top, j + 1
                     continue
             j -= 1
 
@@ -119,33 +128,102 @@ def count_next_closure(n: int, spec: ClosureSpec) -> int:
     return sum(1 for _ in _lectic_masks(table))
 
 
-def _family(table: RuleTable, level: int, mask: int) -> tuple[int, ...]:
-    """F(mask): the layers L of level + 1 for which mask | L is closed there.
+def _layer_kernel(table: RuleTable, level: int) -> tuple[int, list[_LayerRule]]:
+    """The family bitsets of a level: ``full`` and the rules (po, co, up, viol).
 
-    ``mask`` is a closed set of the first ``level`` levels, and so closed
-    under the whole table: a rule with premises there concludes there.  Each
-    L is given relative to the first index of its layer, in lectic order, so
-    families of different sets compare equal exactly when they hold the same
-    layers.
+    A family is an int with one bit per subset L of layer level + 1, whose
+    elements are given relative to the first index of the layer; ``full``
+    has every bit set.  Only the rules whose premises meet that layer and
+    nothing above it decide whether X | L is closed at level + 1 (see the
+    module docstring).  Each is split into its old part, the premises po and
+    conclusions co below the layer, and two bitsets: ``up``, the L holding
+    its layer premises, and ``viol``, the L in ``up`` lacking one of its
+    layer conclusions.  Rules with equal old parts are merged.
     """
     fixed = level * (level + 1) // 2
-    return tuple(m >> fixed for m in _lectic_masks(table, fixed, mask, fixed + level + 1))
+    width = level + 1
+    old = (1 << fixed) - 1
+    full = (1 << (1 << width)) - 1
+    # holds[i]: the L holding element i, blocks of 2^i zeros then 2^i ones
+    holds = [
+        full // ((1 << (2 << i)) - 1) * (((1 << (1 << i)) - 1) << (1 << i)) for i in range(width)
+    ]
+    merged: dict[tuple[int, int], list[int]] = {}
+    for prem, conc in table.rules():
+        layer_prem = prem >> fixed
+        if not layer_prem or layer_prem >> width:
+            continue
+        up = full
+        for i in _iter_bits(layer_prem):
+            up &= holds[i]
+        has = full
+        for i in _iter_bits(conc >> fixed):
+            has &= holds[i]
+        entry = merged.setdefault((prem & old, conc & old), [0, 0])
+        entry[0] |= up
+        entry[1] |= up & ~has
+    return full, [(po, co, up, viol) for (po, co), (up, viol) in merged.items()]
+
+
+def _settle(rules: list[_LayerRule], x: int, known: int) -> tuple[int, list[_LayerRule]]:
+    """Rules of ``_layer_kernel`` for the sets that agree with x on the bits of ``known``.
+
+    Returns the L that every such set excludes, from the rules that fire on
+    all of them and whose exclusion ``known`` decides, and the rules still
+    open.  A rule with an old premise outside x in ``known`` fires on none
+    of them and is dropped.
+    """
+    miss = known & ~x
+    forced = 0
+    live = []
+    for rule in rules:
+        po, co, up, viol = rule
+        if po & miss:
+            continue
+        if po & ~known:
+            live.append(rule)
+        elif co & miss:
+            forced |= up
+        elif co & ~known:
+            live.append(rule)
+        else:
+            forced |= viol
+    return forced, live
+
+
+def _layer_family(full: int, forced: int, live: list[_LayerRule], x: int) -> int:
+    """F(x) from the result of ``_settle`` for a set that agrees with x on ``known``.
+
+    With ``forced`` = 0 and every rule of ``_layer_kernel`` live, this is
+    F(x) = full & ~OR, over the rules whose old premises lie in x, of
+    ``viol`` when their old conclusions lie in x too and ``up`` otherwise.
+    """
+    bad = forced
+    for po, co, up, viol in live:
+        if po & x == po:
+            bad |= viol if co & x == co else up
+    return full & ~bad
 
 
 def _layer_counts(n_max: int, spec: ClosureSpec) -> Iterator[int]:
     """Number of closed sets at n = 1..n_max, by the layer transfer of ``count_layers``."""
     table = build_table(n_max, spec)
-    states = {_family(table, 0, 0): [0, 1]}
+    full, rules = _layer_kernel(table, 0)
+    states = {_layer_family(full, 0, rules, 0): [0, 1]}
     for level in range(n_max):
-        yield sum(mult * len(family) for family, (_, mult) in states.items())
+        yield sum(mult * family.bit_count() for family, (_, mult) in states.items())
         if level + 1 == n_max:
             return
         shift = level * (level + 1) // 2
-        nxt: dict[tuple[int, ...], list[int]] = {}
+        below = (1 << shift) - 1
+        full, rules = _layer_kernel(table, level + 1)
+        nxt: dict[int, list[int]] = {}
         for family, (rep, mult) in states.items():
-            for layer in family:
+            # the grown sets all agree with rep below the layer just added
+            forced, live = _settle(rules, rep, below)
+            for layer in _iter_bits(family):
                 grown = rep | (layer << shift)
-                key = _family(table, level + 1, grown)
+                key = _layer_family(full, forced, live, grown)
                 entry = nxt.get(key)
                 if entry is None:
                     nxt[key] = [grown, mult]
@@ -164,8 +242,13 @@ def count_layers(n: int, spec: ClosureSpec) -> int:
     families are merged into one state, a representative with a
     multiplicity: the count at level k+1 is the sum of multiplicity times
     |F|, and the states at level k+1 are the families of representative | L
-    for every L in F.  The merge is exact when equal families imply equal
-    next families; see the module docstring for what backs that.
+    for every L in F.  Each family is one int with a bit per layer, read off
+    precomputed rule bitsets (``up`` and ``viol``) without a closure; it is
+    exact because a rule concludes within the level of its largest premise
+    endpoint (module docstring).  The merge is exact when equal families
+    imply equal next families; see the module docstring for what backs that.
+    The transfer shares only the rule table with the enumeration it is
+    checked against.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")

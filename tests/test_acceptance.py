@@ -98,6 +98,15 @@ def test_criterion_1_sequence_regression(ops):
     assert got == expected, f"#({ops}) enumerates to {got}, reference row is {expected}"
 
 
+def test_criterion_1_rows_past_six():
+    """The C row equals its dual K row through n = 8, and CK is S_1..S_10."""
+    c_row = sequence(ClosureSpec.parse("C"), 8).counts()
+    assert c_row[:6] == REFERENCE_SEQUENCES["C"]
+    assert c_row == sequence(ClosureSpec.parse("K"), 8).counts()
+    assert sequence(ClosureSpec.parse("CK"), 10).counts() == large_schroeder(10)
+    _report("criterion 1, #(C) = #(K) for n <= 8 and #(C,K) = Schröder for n <= 10", True)
+
+
 def test_criterion_2_formula_checks():
     empty = ClosureSpec.parse("")
     got = sequence(empty, 6).counts()

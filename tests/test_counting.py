@@ -9,8 +9,10 @@ import pytest
 import intervalcat.counting as counting
 from intervalcat.closure import ClosureSpec, build_table, is_closed
 from intervalcat.counting import (
-    _family,
+    _layer_family,
+    _layer_kernel,
     _lectic_masks,
+    _settle,
     count_brute,
     count_layers,
     count_next_closure,
@@ -20,7 +22,7 @@ from intervalcat.counting import (
     sequence,
 )
 from intervalcat.errors import CapExceeded
-from intervalcat.intervals import IntervalSet, hom_dim, universe_size
+from intervalcat.intervals import IntervalSet, _iter_bits, hom_dim, universe_size
 from intervalcat.oracle import barcode, cokernel_rep, morphism_between_sums
 
 from helpers import closed_masks, hasse_covers
@@ -85,26 +87,42 @@ def _swept_closed_masks(n: int, s: ClosureSpec) -> set[int]:
 
 
 def test_lectic_stream_is_exact_all_specs():
-    """The enumeration stream is every closed set of the sweep, in lectic order.
-
-    Each prefix-restricted stream that ``_family`` reads from the n = 5
-    table is the slice of the unrestricted stream of level + 1 whose first
-    ``level`` levels equal the prefix, in the same order.
-    """
+    """The enumeration stream is every closed set of the sweep, in lectic order."""
     for s in ClosureSpec.all_specs():
-        streams = {0: [0]}
         for n in range(1, 6):
             stream = list(_lectic_masks(build_table(n, s)))
             assert stream == _lectic_sorted(_swept_closed_masks(n, s), universe_size(n)), (str(s), n)
-            streams[n] = stream
-        table = build_table(5, s)
-        for level in range(5):
-            fixed = level * (level + 1) // 2
-            window = (1 << fixed) - 1
-            for prefix in streams[level]:
-                got = list(_lectic_masks(table, fixed, prefix, fixed + level + 1))
-                want = [m for m in streams[level + 1] if m & window == prefix]
-                assert got == want, (str(s), level, prefix)
+
+
+def _layer_start(level: int) -> int:
+    return level * (level + 1) // 2
+
+
+def test_layer_kernel_equals_direct_check_all_specs():
+    """F(X) from the kernel bitsets equals the closedness of every X | L, checked rule by rule.
+
+    X runs over every closed set of each level, L over every subset of the
+    next layer, and the table is that of n = 6.  The family is read both
+    unsettled and settled on the bits below the last layer of X, as the
+    transfer reads it, and on every bit of X.
+    """
+    n = 6
+    for s in ClosureSpec.all_specs():
+        table = build_table(n, s)
+        for level in range(n):
+            fixed = _layer_start(level)
+            full, rules = _layer_kernel(table, level)
+            closed = list(_lectic_masks(build_table(level, s))) if level else [0]
+            for x in closed:
+                want = sum(
+                    1 << layer
+                    for layer in range(1 << (level + 1))
+                    if table.is_closed(x | (layer << fixed))
+                )
+                assert _layer_family(full, 0, rules, x) == want, (str(s), level, x)
+                for known in ((1 << _layer_start(level - 1)) - 1, (1 << fixed) - 1):
+                    got = _layer_family(full, *_settle(rules, x, known), x)
+                    assert got == want, (str(s), level, x, known)
 
 
 def test_closed_count_matches_oracle_closedness_semantics():
@@ -163,19 +181,25 @@ def test_layer_states_are_sufficient():
         if not s.flags:
             continue
         table = build_table(n, s)
+        kernels = [_layer_kernel(table, level) for level in range(n)]
+
+        def family(level: int, x: int) -> int:
+            full, rules = kernels[level]
+            return _layer_family(full, 0, rules, x)
+
         closed = [0]
         for level in range(n - 1):
-            classes: dict[tuple[int, ...], list[int]] = {}
+            classes: dict[int, list[int]] = {}
             for x in closed:
-                classes.setdefault(_family(table, level, x), []).append(x)
-            shift = level * (level + 1) // 2
+                classes.setdefault(family(level, x), []).append(x)
+            shift = _layer_start(level)
             closed = []
-            for family, members in classes.items():
+            for fam, members in classes.items():
                 rep = members[0]
-                want = [_family(table, level + 1, rep | (layer << shift)) for layer in family]
+                want = [family(level + 1, rep | (layer << shift)) for layer in _iter_bits(fam)]
                 for x in members:
-                    grown = [x | (layer << shift) for layer in family]
-                    assert [_family(table, level + 1, g) for g in grown] == want, (str(s), level, x)
+                    grown = [x | (layer << shift) for layer in _iter_bits(fam)]
+                    assert [family(level + 1, g) for g in grown] == want, (str(s), level, x)
                     closed.extend(grown)
 
 
@@ -184,8 +208,10 @@ def test_empty_spec_family_is_every_layer_subset():
     # and one state carries every closed set: nothing for the sufficiency test to check
     table = build_table(4, spec(""))
     for level in range(4):
-        for x in (0, (1 << (level * (level + 1) // 2)) - 1):
-            assert sorted(_family(table, level, x)) == list(range(1 << (level + 1)))
+        full, rules = _layer_kernel(table, level)
+        assert full == (1 << (1 << (level + 1))) - 1 and not rules
+        for x in (0, (1 << _layer_start(level)) - 1):
+            assert _layer_family(full, 0, rules, x) == full
 
 
 def test_reference_sequence():
