@@ -14,16 +14,17 @@ from .closure import ClosureSpec, closure
 from .counting import (
     BRUTE_CAP_BITS,
     LATTICE_CAP,
+    closed_masks,
     count_brute,
     count_layers,
     count_next_closure,
-    iter_closed_sets,
+    iter_closed_sets,  # noqa: F401  unused here, but bench/tracing.py wraps this binding
     lattice,
     reference_sequence,
     sequence,
 )
 from .errors import CapExceeded
-from .intervals import IntervalSet, universe_size
+from .intervals import IntervalSet, _interval_texts, _iter_bits, universe_size
 from .posets import SUBFUNCTOR_CAP, chain_equivalence_check, ideals, incidence_algebra, load_poset, subfunctor_count
 
 _ALGORITHMS = ("layers", "next-closure", "brute")
@@ -118,12 +119,14 @@ def cmd_sequence(args: argparse.Namespace) -> int:
 def cmd_list(args: argparse.Namespace) -> int:
     spec = ClosureSpec.parse(args.ops)
     n = _positive("--n", args.n)
+    masks = closed_masks(n, spec)
     if args.format == "json":
-        sets = [s.indices() for s in iter_closed_sets(n, spec)]
+        sets = [list(_iter_bits(m)) for m in masks]
         print(json.dumps({"n": n, "ops": str(spec), "sets": sets}, sort_keys=True))
     else:
-        for s in iter_closed_sets(n, spec):
-            print(s.to_literal())
+        texts = _interval_texts(n)
+        for m in masks:
+            print(";".join(texts[i] for i in _iter_bits(m)))
     return 0
 
 

@@ -78,9 +78,8 @@ three targets (and, for kernels, at most three sources and one target).
 Rules are (premise mask, conclusion mask) pairs over canonical interval
 indices from generation to table; instances with equal premises are
 merged into one rule.  The closure of a set is the least fixed point of
-the rule system, computed by worklist saturation over bitmasks;
-``RuleTable.extend`` saturates a closed base plus new elements, pushing
-only the new ones, and is the one saturation loop.
+the rule system, computed by worklist saturation over bitmasks
+(``RuleTable.closure``).
 """
 
 from __future__ import annotations
@@ -262,23 +261,16 @@ class RuleTable:
         return len(self._prem)
 
     def closure(self, mask: int, forbidden: int = 0) -> Optional[int]:
-        """Least fixed point containing mask; None as soon as it meets forbidden."""
-        return self.extend(0, mask, forbidden)
+        """Least fixed point containing mask; None as soon as it adds an element of forbidden.
 
-    def extend(self, base: int, add: int, forbidden: int = 0) -> Optional[int]:
-        """Closure of base | add for a closed base; None as soon as it meets forbidden.
-
-        Only the elements of ``add`` and the ones they force are pushed: a
-        rule whose premises all lie in the closed base already has its
-        conclusions there.  The early exit makes the lectic validity test of
-        the enumeration cheap: most candidates die on their first forbidden
-        element.
+        A worklist saturation: each element is pushed once, when it enters
+        the result, and tries the rules that hold it as a premise.
         """
-        result = base | add
+        result = mask
         by_elem = self._by_elem
         prem = self._prem
         conc = self._conc
-        stack = [add]  # masks of elements still to push
+        stack = [mask]  # masks of elements still to push
         while stack:
             bits = stack.pop()
             while bits:

@@ -12,13 +12,15 @@ Three counting paths are kept, each where it serves best.
   endpoints of its intervals, and every rule concludes only intervals
   within the level of its largest premise endpoint, so that table closes a
   set of the first k levels exactly as the table of k would.
-- Enumeration walks every closed set in lectic order by Close-by-One
-  (``_lectic_masks``): the stream and the candidate tests are those of
-  Next-Closure, but each candidate is saturated from its closed parent
-  rather than from scratch.  It is the engine of ``list`` and ``lattice``
-  and the second algorithm that the layer transfer is compared with; the
-  CLI keeps the name ``next-closure`` for it because its output is
-  unchanged.  The two share only the rule table.
+- Enumeration (``_lectic_masks``) walks the same layers depth first and
+  merges nothing: a set closed on its first k layers has as children the
+  X | L for L in F(X), and the leaves at depth n are the closed sets, in
+  lectic order when each family is visited in bit-reversed order of L.  It
+  is the engine of ``list`` and ``lattice`` and the second algorithm that
+  the layer transfer is compared with; the CLI keeps the name
+  ``next-closure`` for it because its stream is that of Next-Closure.  The
+  two share the rule table and the family kernel below, which the tests
+  check against a rule-by-rule closedness test, but not the merge.
 - The subset sweep (the cross-check of both, usable while the universe fits
   a bit cap) holds one boolean per subset, 2^size bytes, and strikes out
   every subset that breaks a rule through strided views of that array; it
@@ -35,11 +37,11 @@ premises, and ``viol``, the L in ``up`` lacking one of its layer
 conclusions.  It excludes no L when po is not in X, all of ``up`` when po
 is in X but co is not, and ``viol`` when both are; F(X) is the complement
 of what the rules exclude.  Rules with equal old parts are merged, and the
-bitsets of a level are built, when the transfer reaches it, from the masks
-of the subsets holding each element of the layer.  The sets grown from one
-state agree with it below the layer just added, so the rules that this
-part decides are settled once per state (``_settle``) and only the others
-are tested for each grown set.
+bitsets of a level are built, when a run reaches it, from the masks of the
+subsets holding each element of the layer.  The sets grown from one state
+(or, in the enumeration, from one parent) agree with it below the layer
+just added, so the rules that this part decides are settled once per state
+(``_settle``) and only the others are tested for each grown set.
 
 The merge of the layer transfer is exact when equal families imply equal
 next families: then, by induction on the level, the number of closed sets
@@ -48,8 +50,9 @@ layers leading to it.  No proof of that condition is known here.  The test
 suite checks it on every closed set, not only on representatives, for all
 non-empty specs through level 6, which makes the counts for n <= 6 exact; it
 says nothing about larger n.  There the counts are backed by enumeration
-where it was run, by closed forms, and for C against K by the dual spec's
-run, which merges differently (1,430 states against 6,336 at n = 8).  The
+where it was run (the tests run it for C and K at n = 7 and for E and CK
+at n = 8), by closed forms, and for C against K by the dual spec's run,
+which merges differently (1,430 states against 6,336 at n = 8).  The
 empty spec has no rules, so its family is every subset of the layer and a
 single state carries every set.
 
@@ -77,55 +80,63 @@ _LayerRule = tuple[int, int, int, int]
 
 
 def _lectic_masks(table: RuleTable) -> Iterator[int]:
-    """Closed sets in lectic order.
+    """Closed sets in lectic order, by a depth-first walk of the layer kernel.
 
     The lectic order is induced by the canonical interval index: of two
-    sets, the one holding their lowest differing index comes later.  The
-    sets are produced by Close-by-One, a depth-first walk in which a closed
-    set B reached by adding index g (the root, the empty set: g = -1) has as
-    children the candidates closure(B | bit_j) for j > g not in B, tried
-    from the highest j down and accepted when no new element falls below j.
-    The empty set is closed, as no rule has an empty premise.  Pre-order
-    with decreasing j is the lectic order.  The walk yields the stream of
-    Next-Closure and makes the same candidate tests: for closed A and i not
-    in A, B = closure(A & below_i) is closed, agrees with A below i, and
+    sets, the one holding their lowest differing index comes later.  A node
+    of the walk at depth d is a set X closed on its first d layers, the root
+    the empty set; its children are the X | L for L in F(X), read off
+    ``_layer_kernel`` of level d, and the rules of level d + 1 are settled on
+    X once for all of them (``_settle``), as in the transfer.  F(X) always
+    holds the empty layer, so every path reaches depth n, and the leaves are
+    exactly the closed sets.  Nothing is merged and no closure is made.
 
-        closure((A & below_i) | bit_i) = closure(B | bit_i),
-
-    so Next-Closure's step from A at i is Close-by-One's test at B and j = i.
-    Each candidate is saturated by ``RuleTable.extend`` from its closed
-    parent, pushing only the new element instead of the whole prefix.
+    Layer d holds the indices below those of layer d + 1, so the lowest
+    index where two leaves differ lies in their first differing layer, and
+    the later set is the one whose layer there holds the lowest element
+    where the two layers differ.  Reversing the bits of L makes that element
+    the most significant one, so visiting each family in increasing
+    bit-reversed L, from a per-level table of reversals, yields the lectic
+    order, the stream of Next-Closure.
     """
-    extend = table.extend
-    top = table.size - 1
-    yield 0
-    # (closed base, next candidate index, lowest candidate index)
-    stack = [(0, top, 0)]
+    last = table.n - 1
+    kernels = [_layer_kernel(table, level) for level in range(last + 1)]
+    # revs[level][L]: L with its level + 1 bits reversed, an involution
+    revs = [[0, 1]]
+    for _ in range(last):
+        rev = revs[-1]
+        revs.append([r << 1 for r in rev] + [r << 1 | 1 for r in rev])
+    # (depth, X, rules of that level settled by the parent of X)
+    stack = [(0, 0, 0, kernels[0][1])]
     while stack:
-        base, j, low = stack.pop()
-        while j >= low:
-            bit = 1 << j
-            if not base & bit:
-                cand = extend(base, bit, (bit - 1) & ~base)
-                if cand is not None:
-                    yield cand
-                    stack.append((base, j - 1, low))
-                    base, j, low = cand, top, j + 1
-                    continue
-            j -= 1
+        level, x, forced, live = stack.pop()
+        rev = revs[level]
+        shift = level * (level + 1) // 2
+        family = _layer_family(kernels[level][0], forced, live, x)
+        layers = sorted([rev[layer] for layer in _iter_bits(family)])
+        if level == last:
+            for r in layers:
+                yield x | rev[r] << shift
+        else:
+            forced, live = _settle(kernels[level + 1][1], x, (1 << shift) - 1)
+            level += 1
+            stack.extend([(level, x | rev[r] << shift, forced, live) for r in reversed(layers)])
+
+
+def closed_masks(n: int, spec: ClosureSpec) -> Iterator[int]:
+    """The masks of all closed sets for (n, spec) in lectic order."""
+    return _lectic_masks(build_table(n, spec))
 
 
 def iter_closed_sets(n: int, spec: ClosureSpec) -> Iterator[IntervalSet]:
     """All closed sets for (n, spec) in lectic order."""
-    table = build_table(n, spec)
-    for mask in _lectic_masks(table):
+    for mask in closed_masks(n, spec):
         yield IntervalSet(n, mask)
 
 
 def count_next_closure(n: int, spec: ClosureSpec) -> int:
     """Number of closed sets, by lectic enumeration (the CLI's ``next-closure``)."""
-    table = build_table(n, spec)
-    return sum(1 for _ in _lectic_masks(table))
+    return sum(1 for _ in closed_masks(n, spec))
 
 
 def _layer_kernel(table: RuleTable, level: int) -> tuple[int, list[_LayerRule]]:
@@ -247,8 +258,8 @@ def count_layers(n: int, spec: ClosureSpec) -> int:
     exact because a rule concludes within the level of its largest premise
     endpoint (module docstring).  The merge is exact when equal families
     imply equal next families; see the module docstring for what backs that.
-    The transfer shares only the rule table with the enumeration it is
-    checked against.
+    The enumeration it is checked against walks the same kernel but merges
+    nothing.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")

@@ -167,24 +167,41 @@ def test_rule_table_closure_laws(case):
     assert table.is_closed(ca)
 
 
+def _fixed_point(table, mask: int) -> int:
+    """The least fixed point containing mask, by sweeping every rule until nothing changes."""
+    while True:
+        grown = mask
+        for prem, conc in table.rules():
+            if prem & grown == prem:
+                grown |= conc
+        if grown == mask:
+            return mask
+        mask = grown
+
+
 @st.composite
-def _table_base_add_forbidden(draw):
-    """A rule table of any spec at n <= 5, a closed base, any add, and a forbidden mask disjoint from both."""
+def _table_mask_forbidden(draw):
+    """A rule table of any spec at n <= 5, a mask, and a forbidden mask disjoint from it.
+
+    The forbidden mask is often a single element, so that both outcomes of
+    the early exit are drawn.
+    """
     spec = draw(st.sampled_from(ClosureSpec.all_specs()))
     n = draw(st.integers(1, 5))
     full = (1 << universe_size(n)) - 1
-    table = build_table(n, spec)
-    base = table.closure(draw(st.integers(0, full)))
-    add = draw(st.integers(0, full))
-    return table, base, add, draw(st.integers(0, full)) & ~(base | add)
+    mask = draw(st.integers(0, full))
+    forbidden = draw(st.integers(0, full)) & ~mask
+    if draw(st.booleans()):
+        forbidden &= -forbidden
+    return build_table(n, spec), mask, forbidden
 
 
 @settings(derandomize=True, deadline=None, max_examples=400)
-@given(_table_base_add_forbidden())
-def test_rule_table_extend_is_closure_from_closed_base(case):
-    table, base, add, forbidden = case
-    whole = table.closure(base | add)
-    got = table.extend(base, add, forbidden)
+@given(_table_mask_forbidden())
+def test_rule_table_closure_stops_on_forbidden(case):
+    table, mask, forbidden = case
+    whole = _fixed_point(table, mask)
+    got = table.closure(mask, forbidden)
     if whole & forbidden:
         assert got is None
     else:

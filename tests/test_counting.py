@@ -94,6 +94,20 @@ def test_lectic_stream_is_exact_all_specs():
             assert stream == _lectic_sorted(_swept_closed_masks(n, s), universe_size(n)), (str(s), n)
 
 
+def test_lectic_stream_past_five_all_specs():
+    """At n = 6 the stream is strictly lectic, every set is closed, and the sweep counts as many."""
+    n = 6
+    for s in ClosureSpec.all_specs():
+        if not s.flags:
+            continue
+        table = build_table(n, s)
+        stream = list(_lectic_masks(table))
+        # sorting the distinct masks gives the stream back only if it has no repeats
+        assert stream == _lectic_sorted(set(stream), universe_size(n)), str(s)
+        assert all(table.is_closed(mask) for mask in stream), str(s)
+        assert len(stream) == count_brute(n, s), str(s)
+
+
 def _layer_start(level: int) -> int:
     return level * (level + 1) // 2
 
@@ -104,7 +118,8 @@ def test_layer_kernel_equals_direct_check_all_specs():
     X runs over every closed set of each level, L over every subset of the
     next layer, and the table is that of n = 6.  The family is read both
     unsettled and settled on the bits below the last layer of X, as the
-    transfer reads it, and on every bit of X.
+    transfer reads it, and on every bit of X.  The closed X come from the
+    subset sweep, not from the enumeration, which walks this same kernel.
     """
     n = 6
     for s in ClosureSpec.all_specs():
@@ -112,7 +127,7 @@ def test_layer_kernel_equals_direct_check_all_specs():
         for level in range(n):
             fixed = _layer_start(level)
             full, rules = _layer_kernel(table, level)
-            closed = list(_lectic_masks(build_table(level, s))) if level else [0]
+            closed = _swept_closed_masks(level, s) if level else [0]
             for x in closed:
                 want = sum(
                     1 << layer
@@ -164,6 +179,12 @@ def test_layers_equal_next_closure_all_specs():
     assert count_layers(6, spec("C")) == 26118
     with pytest.raises(ValueError):
         count_layers(0, spec("C"))
+
+
+def test_layers_equal_next_closure_past_six():
+    """The merged transfer agrees with the enumeration, which merges nothing, beyond n = 6."""
+    for text, n, count in (("C", 7, 332723), ("K", 7, 332723), ("E", 8, 549559), ("CK", 8, 41586)):
+        assert count_layers(n, spec(text)) == count_next_closure(n, spec(text)) == count, text
 
 
 def test_layer_states_are_sufficient():
