@@ -5,7 +5,7 @@ The package has three layers: endpoint arithmetic on intervals
 used to verify it (:mod:`intervalcat.oracle`), and a Horn-rule closure
 engine with layer-transfer, lectic-enumeration and brute-force counting on top
 (:mod:`intervalcat.closure`, :mod:`intervalcat.counting`).  Finite posets,
-their ideal lattices and incidence algebras live in
+their ideals, subfunctor counts and incidence dimensions live in
 :mod:`intervalcat.posets`.  The package itself exports nothing: import
 each name from its submodule.
 """

@@ -25,7 +25,7 @@ from .counting import (
 )
 from .errors import CapExceeded
 from .intervals import IntervalSet, _interval_texts, _iter_bits, universe_size
-from .posets import SUBFUNCTOR_CAP, chain_equivalence_check, ideals, incidence_algebra, load_poset, subfunctor_count
+from .posets import SUBFUNCTOR_CAP, chain_equivalence_check, ideals, incidence_dimension, load_poset, subfunctor_count
 
 _ALGORITHMS = ("layers", "next-closure", "brute")
 _ALGORITHM_HELP = (
@@ -178,7 +178,7 @@ def cmd_poset(args: argparse.Namespace) -> int:
             print(f"subfunctors[{x}] = {count} (ideals_below = {down_ideals}, match = {str(match).lower()})")
         print(f"subfunctors_match = {str(all_match).lower()}")
     if "incidence" in checks:
-        print(f"incidence_dimension = {incidence_algebra(p).dimension}")
+        print(f"incidence_dimension = {incidence_dimension(p)}")
     if "chain" in checks:
         if not p.is_chain():
             raise ValueError("the chain check needs a totally ordered input poset")

@@ -298,8 +298,8 @@ def count_brute(n: int, spec: ClosureSpec) -> int:
 def reference_sequence(spec: ClosureSpec, n: int) -> Optional[int]:
     """Closed-form count when one is known, else None.
 
-    Cokernel closure is implied by quotient closure and kernel closure by
-    subobject closure, so those flags are normalised away first; the
+    The flags are normalised first (``_essential_flags``): Q with K gives
+    S, C with S gives Q, Q makes C redundant and S makes K.  The
     order-reversing involution then lets the subobject-side combinations
     reuse the quotient-side formulas.
     """

@@ -37,23 +37,8 @@ class F2Matrix:
     def zeros(cls, nrows: int, ncols: int) -> "F2Matrix":
         return cls(nrows, ncols)
 
-    @classmethod
-    def from_dense(cls, entries: Sequence[Sequence[int]], ncols: int | None = None) -> "F2Matrix":
-        nrows = len(entries)
-        if ncols is None:
-            ncols = len(entries[0]) if nrows else 0
-        rows = []
-        for row in entries:
-            if len(row) != ncols:
-                raise ValueError("ragged rows")
-            rows.append(sum((v & 1) << j for j, v in enumerate(row)))
-        return cls(nrows, ncols, rows)
-
     def entry(self, i: int, j: int) -> int:
         return (self.rows[i] >> j) & 1
-
-    def to_dense(self) -> list[list[int]]:
-        return [[(r >> j) & 1 for j in range(self.ncols)] for r in self.rows]
 
     @property
     def shape(self) -> tuple[int, int]:

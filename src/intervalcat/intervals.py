@@ -112,11 +112,6 @@ def dual(x: Interval, n: int) -> Interval:
     return Interval(n + 1 - x.b, n + 1 - x.a)
 
 
-def comp_length(x: Interval) -> int:
-    """Composition length of an interval: one more than its length."""
-    return x.b - x.a + 1
-
-
 def _nonzero(a: int, b: int) -> Optional[Interval]:
     """Interval [a, b], with [b+1, b] (and anything emptier) read as zero."""
     return Interval(a, b) if a <= b else None
@@ -208,10 +203,6 @@ class IntervalSet:
         return cls(n, 0)
 
     @classmethod
-    def full(cls, n: int) -> "IntervalSet":
-        return cls(n, (1 << universe_size(n)) - 1)
-
-    @classmethod
     def of(cls, n: int, members: Iterable[Interval]) -> "IntervalSet":
         mask = 0
         for iv in members:
@@ -219,10 +210,6 @@ class IntervalSet:
                 raise ValueError(f"interval {iv} does not fit inside {{1..{n}}}")
             mask |= 1 << iv.index
         return cls(n, mask)
-
-    @classmethod
-    def from_indices(cls, n: int, indices: Iterable[int]) -> "IntervalSet":
-        return cls.of(n, (interval_from_index(i) for i in indices))
 
     @property
     def members(self) -> tuple[Interval, ...]:
@@ -234,34 +221,10 @@ class IntervalSet:
     def dual(self) -> "IntervalSet":
         return IntervalSet.of(self.n, (dual(iv, self.n) for iv in self.members))
 
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-    def __iter__(self) -> Iterator[Interval]:
-        return iter(self.members)
-
-    def __contains__(self, iv: Interval) -> bool:
-        return iv.b <= self.n and (self.mask >> iv.index) & 1 == 1
-
-    def _check_same_ambient(self, other: "IntervalSet") -> None:
+    def __sub__(self, other: "IntervalSet") -> "IntervalSet":
         if self.n != other.n:
             raise ValueError(f"ambient mismatch: n={self.n} vs n={other.n}")
-
-    def __or__(self, other: "IntervalSet") -> "IntervalSet":
-        self._check_same_ambient(other)
-        return IntervalSet(self.n, self.mask | other.mask)
-
-    def __and__(self, other: "IntervalSet") -> "IntervalSet":
-        self._check_same_ambient(other)
-        return IntervalSet(self.n, self.mask & other.mask)
-
-    def __sub__(self, other: "IntervalSet") -> "IntervalSet":
-        self._check_same_ambient(other)
         return IntervalSet(self.n, self.mask & ~other.mask)
-
-    def issubset(self, other: "IntervalSet") -> bool:
-        self._check_same_ambient(other)
-        return self.mask & ~other.mask == 0
 
     def to_literal(self) -> str:
         """Wire form "a,b;c,d;..." in canonical index order ('' for the empty set)."""
@@ -274,9 +237,6 @@ class IntervalSet:
         if not text:
             return cls.empty(n)
         return cls.of(n, (Interval.from_text(part) for part in text.split(";")))
-
-    def __str__(self) -> str:
-        return "{" + ",".join(str(iv) for iv in self.members) + "}"
 
 
 @lru_cache(maxsize=None)

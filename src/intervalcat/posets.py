@@ -1,4 +1,4 @@
-"""Finite posets: validation, ideals, subfunctor counts and incidence algebras.
+"""Finite posets: validation, ideals, subfunctor counts and incidence dimensions.
 
 Every report here can come out differently from one finite poset to
 another.  The paper's criterion for an abelian universal category, meets of
@@ -9,7 +9,7 @@ distributivity, since ideals form a ring of sets.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Optional, Sequence
+from typing import Hashable, Iterable, Sequence
 
 from .errors import CapExceeded
 from .intervals import Interval
@@ -84,10 +84,6 @@ class FinitePoset:
         """The total order 1 < 2 < ... < k."""
         return cls(range(1, k + 1), [(1 << (i + 1)) - 1 for i in range(k)])
 
-    @classmethod
-    def antichain(cls, k: int) -> "FinitePoset":
-        return cls(range(1, k + 1), [1 << i for i in range(k)])
-
     def __len__(self) -> int:
         return len(self.elements)
 
@@ -99,9 +95,6 @@ class FinitePoset:
             return self._index[label]
         except KeyError:
             raise ValueError(f"unknown element {label!r}") from None
-
-    def leq(self, x: Hashable, y: Hashable) -> bool:
-        return (self.down[self.index(y)] >> self.index(x)) & 1 == 1
 
     def linear_extension(self) -> list[int]:
         """Element indices ordered so that every element follows its lower set."""
@@ -208,50 +201,9 @@ def subfunctor_count(p: FinitePoset, x: Hashable) -> int:
     return count
 
 
-class IncidenceAlgebra:
-    """The GF(2) algebra on comparable pairs, multiplied by path composition.
-
-    Basis element k is the pair (x_k, y_k) with x_k <= y_k, read as the
-    unique map x_k -> y_k; the product of (y, z) with (x, y') is (x, z) when
-    y' == y and zero otherwise.
-    """
-
-    __slots__ = ("poset", "basis", "_lookup")
-
-    def __init__(self, poset: FinitePoset, basis: Sequence[tuple[int, int]]):
-        self.poset = poset
-        self.basis = tuple(basis)
-        self._lookup = {pair: k for k, pair in enumerate(self.basis)}
-
-    @property
-    def dimension(self) -> int:
-        return len(self.basis)
-
-    def basis_labels(self) -> tuple[tuple[Hashable, Hashable], ...]:
-        return tuple(
-            (self.poset.elements[i], self.poset.elements[j]) for i, j in self.basis
-        )
-
-    def multiply(self, a: int, b: int) -> Optional[int]:
-        """Index of basis[a] * basis[b], or None when the product is zero."""
-        (xa, ya) = self.basis[a]
-        (xb, yb) = self.basis[b]
-        if xa != yb:
-            return None
-        return self._lookup[(xb, ya)]
-
-
-def incidence_algebra(p: FinitePoset) -> IncidenceAlgebra:
-    basis = []
-    for j in range(len(p)):
-        bits = p.down[j]
-        while bits:
-            low = bits & -bits
-            i = low.bit_length() - 1
-            bits ^= low
-            basis.append((i, j))
-    basis.sort()
-    return IncidenceAlgebra(p, basis)
+def incidence_dimension(p: FinitePoset) -> int:
+    """Dimension of the incidence algebra: one basis element per comparable pair x <= y."""
+    return sum(d.bit_count() for d in p.down)
 
 
 def chain_equivalence_check(n: int) -> bool:

@@ -10,7 +10,6 @@ from intervalcat.intervals import (
     Interval,
     IntervalSet,
     all_intervals,
-    comp_length,
     cokernel_pair,
     cokernel_single,
     dual,
@@ -103,8 +102,8 @@ def test_ext_middle_length_bookkeeping():
             if middle is None:
                 continue
             y, yp = middle
-            total = comp_length(y) + (comp_length(yp) if yp else 0)
-            assert total == comp_length(lower) + comp_length(upper)
+            total = (y.b - y.a + 1) + (yp.b - yp.a + 1 if yp else 0)
+            assert total == (lower.b - lower.a + 1) + (upper.b - upper.a + 1)
 
 
 def test_cokernel_single():
@@ -156,15 +155,9 @@ def test_exactness_bookkeeping_single_maps():
         for tgt in all_intervals(n):
             if not hom_dim(src, tgt):
                 continue
-            ker = sum(comp_length(z) for z in kernel_single(src, tgt))
-            cok = sum(comp_length(z) for z in cokernel_single(src, tgt))
-            assert ker + comp_length(tgt) == cok + comp_length(src)
-
-
-def test_comp_length():
-    assert comp_length(Interval(1, 1)) == 1
-    assert comp_length(Interval(1, 3)) == 3
-    assert comp_length(Interval(2, 5)) == 4
+            ker = sum(z.b - z.a + 1 for z in kernel_single(src, tgt))
+            cok = sum(z.b - z.a + 1 for z in cokernel_single(src, tgt))
+            assert ker + (tgt.b - tgt.a + 1) == cok + (src.b - src.a + 1)
 
 
 def test_dual():
@@ -212,21 +205,14 @@ class TestIntervalSet:
             assert s.to_literal() == ";".join(iv.to_text() for iv in s.members), (n, m)
 
     def test_set_algebra(self):
-        a = IntervalSet.from_indices(3, [0, 1])
-        b = IntervalSet.from_indices(3, [1, 5])
-        assert (a | b).indices() == [0, 1, 5]
-        assert (a & b).indices() == [1]
+        a = IntervalSet(3, 1 << 0 | 1 << 1)
+        b = IntervalSet(3, 1 << 1 | 1 << 5)
         assert (a - b).indices() == [0]
-        assert a.issubset(a | b)
+        assert (b - a).indices() == [5]
         with pytest.raises(ValueError):
-            a | IntervalSet.empty(4)
+            a - IntervalSet.empty(4)
 
     def test_dual_set(self):
         s = IntervalSet.of(3, [Interval(1, 1), Interval(1, 2)])
         assert set(s.dual().members) == {Interval(3, 3), Interval(2, 3)}
         assert s.dual().dual() == s
-
-    def test_full_and_len(self):
-        assert len(IntervalSet.full(4)) == 10
-        assert Interval(2, 3) in IntervalSet.full(4)
-        assert Interval(2, 3) not in IntervalSet.empty(4)
