@@ -9,6 +9,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import islice
+from typing import Iterator
 
 from .closure import ClosureSpec, closure
 from .counting import (
@@ -34,6 +36,7 @@ _ALGORITHM_HELP = (
 )
 _VERIFY_HELP = "cross-check against the subset sweep (against next-closure for --algorithm brute); n <= 6"
 _POSET_CHECKS = ("ideals", "subfunctors", "incidence")
+_LIST_BATCH = 4096  # sets per write of ``list``
 
 
 def _positive(name: str, value: int) -> int:
@@ -116,17 +119,72 @@ def cmd_sequence(args: argparse.Namespace) -> int:
     return 0
 
 
+class _LayerTexts(dict):
+    """The text of each subset of one layer, keyed by its layer mask, filled on first use."""
+
+    def __init__(self, names: tuple[str, ...], sep: str) -> None:
+        super().__init__()
+        self.names = names
+        self.sep = sep
+
+    def __missing__(self, layer: int) -> str:
+        text = self[layer] = self.sep.join([self.names[i] for i in _iter_bits(layer)])
+        return text
+
+
+def _set_texts(n: int, masks: Iterator[int], names: tuple[str, ...], sep: str) -> Iterator[str]:
+    """The member names of each set, by canonical index, joined by ``sep``.
+
+    A set's text is the join of the texts of its non-empty layers, read off
+    one table per layer (``_LayerTexts``).  The top layer has 2^n subsets,
+    and QSCKE, the largest rule set, has exactly 2^n closed sets, so every
+    spec lists at least 2^n sets: even full tables hold no more texts than
+    the lines printed.  Filled lazily, they hold only the texts of the
+    layers that some listed set has, which keeps memory flat.  The walk
+    yields the leaves of one parent one after another, and these share
+    every layer below the top, so the text of those layers is joined again
+    only when ``m & low`` changes.
+    """
+    tables = []
+    for level in range(n):
+        start = level * (level + 1) // 2
+        tables.append((start, (1 << level + 1) - 1, _LayerTexts(names[start : start + level + 1], sep)))
+    shift, _, top = tables.pop()
+    low = (1 << shift) - 1
+    below = -1
+    for m in masks:
+        if m & low != below:
+            below = m & low
+            prefix = sep.join([text for start, width, table in tables if (text := table[below >> start & width])])
+            head = prefix + sep if prefix else ""
+        layer = m >> shift
+        yield head + top[layer] if layer else prefix
+
+
 def cmd_list(args: argparse.Namespace) -> int:
+    """Print the closed sets as they are walked, ``_LIST_BATCH`` sets to a write.
+
+    Both formats are ``head + join.join(texts) + tail``: lines of interval
+    texts for text, and for JSON the ``sets`` array of index lists, each
+    set's indices joined by ``", "`` and the sets by ``"], ["``.
+    """
     spec = ClosureSpec.parse(args.ops)
     n = _positive("--n", args.n)
     masks = closed_masks(n, spec)
     if args.format == "json":
-        sets = [list(_iter_bits(m)) for m in masks]
-        print(json.dumps({"n": n, "ops": str(spec), "sets": sets}, sort_keys=True))
+        texts = _set_texts(n, masks, tuple(map(str, range(universe_size(n)))), ", ")
+        head, join, tail = f'{{"n": {n}, "ops": {json.dumps(str(spec))}, "sets": [[', "], [", "]]}\n"
     else:
-        texts = _interval_texts(n)
-        for m in masks:
-            print(";".join(texts[i] for i in _iter_bits(m)))
+        texts = _set_texts(n, masks, _interval_texts(n), ";")
+        head, join, tail = "", "\n", "\n"
+    out = sys.stdout
+    out.write(head)
+    lead = ""
+    while batch := list(islice(texts, _LIST_BATCH)):
+        out.write(lead + join.join(batch))
+        lead = join
+        del batch  # free it before the next batch is built
+    out.write(tail)
     return 0
 
 

@@ -134,21 +134,9 @@ class ClosureSpec:
             flags.add(up)
         return cls(frozenset(flags))
 
-    @classmethod
-    def all_specs(cls) -> tuple["ClosureSpec", ...]:
-        """All 32 flag subsets, shortest first."""
-        out = []
-        for mask in range(1 << len(FLAG_ORDER)):
-            flags = frozenset(f for i, f in enumerate(FLAG_ORDER) if (mask >> i) & 1)
-            out.append(cls(flags))
-        return tuple(sorted(out, key=lambda s: (len(s.flags), str(s))))
-
     def dual(self) -> "ClosureSpec":
         """Swap Q with S and C with K; E is self-dual."""
         return ClosureSpec(frozenset(_DUAL_FLAG[f] for f in self.flags))
-
-    def __contains__(self, flag: str) -> bool:
-        return flag in self.flags
 
     def __str__(self) -> str:
         return "".join(f for f in FLAG_ORDER if f in self.flags)

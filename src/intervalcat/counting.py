@@ -329,9 +329,6 @@ class SequenceReport:
     terms: tuple[tuple[int, int], ...]
     elapsed: tuple[float, ...]
 
-    def counts(self) -> list[int]:
-        return [c for _, c in self.terms]
-
     def to_json_dict(self) -> dict:
         terms = [{"n": n, "count": count} for n, count in self.terms]
         return {"ops": str(self.spec), "algorithm": self.algorithm, "terms": terms}

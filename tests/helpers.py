@@ -7,7 +7,8 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from intervalcat.closure import ClosureSpec
+from intervalcat.closure import FLAG_ORDER, ClosureSpec
+from intervalcat.counting import SequenceReport
 from intervalcat.intervals import (
     Interval,
     IntervalSet,
@@ -24,6 +25,19 @@ from intervalcat.intervals import (
 )
 from intervalcat.oracle import barcode, hom_space_dim, module_of, morphism_between_sums
 from intervalcat.posets import FinitePoset
+
+
+def all_specs() -> tuple[ClosureSpec, ...]:
+    """All 32 flag subsets, shortest first."""
+    specs = []
+    for mask in range(1 << len(FLAG_ORDER)):
+        specs.append(ClosureSpec(frozenset(f for i, f in enumerate(FLAG_ORDER) if mask >> i & 1)))
+    return tuple(sorted(specs, key=lambda s: (len(s.flags), str(s))))
+
+
+def counts(report: SequenceReport) -> list[int]:
+    """The counts of a sequence report, by n."""
+    return [c for _, c in report.terms]
 
 
 def random_interval(rng: random.Random, n: int) -> Interval:
@@ -79,23 +93,23 @@ def full_rule_instances(n: int, spec: ClosureSpec) -> list[tuple[int, int]]:
             merged[prem] = merged.get(prem, 0) | conc
 
     for x in ivs:
-        if "Q" in spec:
+        if "Q" in spec.flags:
             add([x], quotients(x))
-        if "S" in spec:
+        if "S" in spec.flags:
             add([x], subobjects(x))
-        if "E" in spec:
+        if "E" in spec.flags:
             for upper in ivs:
                 middle = ext_middle(upper, x)
                 if middle is not None:
                     y, yp = middle
                     add([x, upper], [y] if yp is None else [y, yp])
-        if "C" in spec:
+        if "C" in spec.flags:
             targets = [y for y in ivs if hom_dim(x, y)]
             for i, y1 in enumerate(targets):
                 add([x, y1], cokernel_single(x, y1))
                 for y2 in targets[i:]:
                     add([x, y1, y2], cokernel_pair(x, y1, y2))
-        if "K" in spec:
+        if "K" in spec.flags:
             sources = [y for y in ivs if hom_dim(y, x)]
             for i, y1 in enumerate(sources):
                 add([y1, x], kernel_single(y1, x))

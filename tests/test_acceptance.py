@@ -51,7 +51,9 @@ from intervalcat.oracle import (
 from intervalcat.posets import chain_equivalence_check, ideals, subfunctor_count
 
 from helpers import (
+    all_specs,
     closed_masks,
+    counts,
     oracle_horn_rules,
     random_morphism_coeffs,
     random_poset,
@@ -91,7 +93,7 @@ def _report(criterion: str, ok: bool) -> None:
 @pytest.mark.parametrize("ops", sorted(REFERENCE_SEQUENCES))
 def test_criterion_1_sequence_regression(ops):
     expected = REFERENCE_SEQUENCES[ops]
-    got = sequence(ClosureSpec.parse(ops), 6).counts()
+    got = counts(sequence(ClosureSpec.parse(ops), 6))
     ok = got == expected
     _report(f"criterion 1, #({','.join(ops)}) for n=1..6", ok)
     assert got == expected, f"#({ops}) enumerates to {got}, reference row is {expected}"
@@ -99,21 +101,21 @@ def test_criterion_1_sequence_regression(ops):
 
 def test_criterion_1_rows_past_six():
     """The C row equals its dual K row through n = 8, and CK is S_1..S_10."""
-    c_row = sequence(ClosureSpec.parse("C"), 8).counts()
+    c_row = counts(sequence(ClosureSpec.parse("C"), 8))
     assert c_row[:6] == REFERENCE_SEQUENCES["C"]
-    assert c_row == sequence(ClosureSpec.parse("K"), 8).counts()
-    assert sequence(ClosureSpec.parse("CK"), 10).counts() == large_schroeder(10)
+    assert c_row == counts(sequence(ClosureSpec.parse("K"), 8))
+    assert counts(sequence(ClosureSpec.parse("CK"), 10)) == large_schroeder(10)
     _report("criterion 1, #(C) = #(K) for n <= 8 and #(C,K) = Schröder for n <= 10", True)
 
 
 def test_criterion_2_formula_checks():
     empty = ClosureSpec.parse("")
-    got = sequence(empty, 6).counts()
+    got = counts(sequence(empty, 6))
     want = [2 ** (n * (n + 1) // 2) for n in range(1, 7)]
     assert got == want
     assert got[5] == 2097152
 
-    for spec in ClosureSpec.all_specs():
+    for spec in all_specs():
         for n in range(1, 7):
             ref = reference_sequence(spec, n)
             if ref is None:
@@ -123,7 +125,7 @@ def test_criterion_2_formula_checks():
 
 
 def test_criterion_3_algorithm_cross_validation():
-    for spec in ClosureSpec.all_specs():
+    for spec in all_specs():
         for n in range(1, 5):
             brute = count_brute(n, spec)
             nc = count_next_closure(n, spec)
@@ -179,7 +181,7 @@ def test_criterion_4_oracle_equivalence():
 
 def test_criterion_5_closure_operator_laws():
     rng = random.Random(99)
-    specs = ClosureSpec.all_specs()
+    specs = all_specs()
     per_combo = 10000 // (6 * len(specs)) + 1
     checked = 0
     for n in range(1, 7):
@@ -208,8 +210,8 @@ def test_criterion_5_closure_operator_laws():
 
 def test_criterion_6_duality():
     for n in range(1, 6):
-        counts = {str(s): count_next_closure(n, s) for s in ClosureSpec.all_specs()}
-        for s in ClosureSpec.all_specs():
+        counts = {str(s): count_next_closure(n, s) for s in all_specs()}
+        for s in all_specs():
             assert counts[str(s)] == counts[str(s.dual())], (str(s), n)
         import math
 

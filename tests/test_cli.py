@@ -4,12 +4,18 @@ from __future__ import annotations
 
 import json
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
 
 import intervalcat.cli as cli
 from intervalcat.cli import main
+from intervalcat.closure import ClosureSpec
+from intervalcat.counting import closed_masks, count_next_closure
+from intervalcat.intervals import interval_from_index, universe_size
+
+from helpers import all_specs
 
 
 def run(capsys, *argv):
@@ -141,6 +147,44 @@ def test_list(capsys):
     assert lines[0] == ""  # the empty set comes first in lectic order
     code, out, _ = run(capsys, "list", "--n", "2", "--ops", "Q", "--format", "json")
     assert len(json.loads(out)["sets"]) == 6
+
+
+def test_list_bytes_equal_a_plain_formatting_all_specs(capsys):
+    # the per-layer tables must print what formatting each set from its bit indices prints
+    for s in all_specs():
+        for n in range(1, 6):
+            sets = [sorted(i for i in range(universe_size(n)) if m >> i & 1) for m in closed_masks(n, s)]
+            ops = str(s) or "none"
+            code, out, err = run(capsys, "list", "--n", str(n), "--ops", ops)
+            lines = "".join(";".join(interval_from_index(i).to_text() for i in idx) + "\n" for idx in sets)
+            assert (code, out, err) == (0, lines, ""), (ops, n)
+            code, out, err = run(capsys, "list", "--n", str(n), "--ops", ops, "--format", "json")
+            doc = json.dumps({"n": n, "ops": str(s), "sets": sets}, sort_keys=True) + "\n"
+            assert (code, out, err) == (0, doc, ""), (ops, n)
+
+
+def test_list_counts_equal_next_closure(capsys):
+    code, out, _ = run(capsys, "list", "--n", "7", "--ops", "E")
+    assert code == 0 and out.count("\n") == count_next_closure(7, ClosureSpec.parse("E")) == 69978
+    code, out, _ = run(capsys, "list", "--n", "7", "--ops", "E", "--format", "json")
+    sets = json.loads(out)["sets"]
+    assert code == 0 and len({tuple(idx) for idx in sets}) == len(sets) == 69978
+
+
+def test_list_streams_in_batches(monkeypatch):
+    class Stdout:
+        def __init__(self):
+            self.writes = []
+
+        def write(self, text):
+            self.writes.append(text)
+
+    stub = Stdout()
+    monkeypatch.setattr(sys, "stdout", stub)
+    assert main(["list", "--n", "7", "--ops", "E", "--format", "json"]) == 0
+    total = sum(map(len, stub.writes))
+    assert len(json.loads("".join(stub.writes))["sets"]) == 69978
+    assert max(map(len, stub.writes)) <= total / 4
 
 
 def test_check(capsys):

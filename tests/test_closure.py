@@ -34,6 +34,7 @@ from intervalcat.oracle import (
 )
 
 from helpers import (
+    all_specs,
     full_rule_instances,
     random_morphism_coeffs,
     random_set,
@@ -56,14 +57,10 @@ class TestClosureSpec:
         assert ClosureSpec.parse("QSCKE").dual() == ClosureSpec.parse("QSCKE")
 
     def test_all_specs(self):
-        specs = ClosureSpec.all_specs()
+        specs = all_specs()
         assert len(specs) == 32
         assert len(set(specs)) == 32
         assert str(specs[0]) == ""
-
-    def test_contains(self):
-        assert "Q" in ClosureSpec.parse("QE")
-        assert "S" not in ClosureSpec.parse("QE")
 
 
 def _mask(n: int, *members: Interval) -> int:
@@ -90,7 +87,7 @@ class TestRuleInstances:
 
     def test_three_premises_only_when_c_or_k_stands_alone(self):
         # R1 of the closure docstring: any second essential flag derives the pair rules
-        for spec in ClosureSpec.all_specs():
+        for spec in all_specs():
             three = [p for p, _ in rule_instances(6, spec) if p.bit_count() == 3]
             assert bool(three) == (_essential_flags(spec) in ({"C"}, {"K"})), str(spec)
 
@@ -122,7 +119,7 @@ def test_closure_examples():
 def test_engine_matches_instance_semantics():
     rng = random.Random(31)
     for n in (2, 3, 4):
-        for spec in ClosureSpec.all_specs():
+        for spec in all_specs():
             for _ in range(20):
                 s = random_set(rng, n)
                 assert build_table(n, spec).is_closed(s.mask) == _is_closed_by_instances(s, spec)
@@ -147,7 +144,7 @@ def test_closure_operator_laws():
 @st.composite
 def _table_and_nested_masks(draw):
     """A rule table of any spec at n <= 5 and two masks a <= b of its universe."""
-    spec = draw(st.sampled_from(ClosureSpec.all_specs()))
+    spec = draw(st.sampled_from(all_specs()))
     n = draw(st.integers(1, 5))
     full = (1 << universe_size(n)) - 1
     a = draw(st.integers(0, full))
@@ -184,7 +181,7 @@ def _table_mask_forbidden(draw):
     The forbidden mask is often a single element, so that both outcomes of
     the early exit are drawn.
     """
-    spec = draw(st.sampled_from(ClosureSpec.all_specs()))
+    spec = draw(st.sampled_from(all_specs()))
     n = draw(st.integers(1, 5))
     full = (1 << universe_size(n)) - 1
     mask = draw(st.integers(0, full))
@@ -208,7 +205,7 @@ def test_rule_table_closure_stops_on_forbidden(case):
 
 
 def test_intersection_of_closed_is_closed():
-    for spec in ClosureSpec.all_specs():
+    for spec in all_specs():
         table = build_table(2, spec)
         closed = [m for m in range(1 << 3) if table.is_closed(m)]
         for a in closed:
@@ -219,7 +216,7 @@ def test_intersection_of_closed_is_closed():
 def test_closedness_duality():
     rng = random.Random(41)
     for n in (2, 3, 4):
-        for spec in ClosureSpec.all_specs():
+        for spec in all_specs():
             for _ in range(10):
                 s = random_set(rng, n)
                 closed = build_table(n, spec).is_closed(s.mask)
@@ -251,7 +248,7 @@ def test_reduced_rules_keep_operator_exhaustively():
     # table closure of every subset equals the fixpoint of the unreduced rules
     for n in range(1, 5):
         subsets = np.arange(1 << universe_size(n), dtype=np.int64)
-        for spec in ClosureSpec.all_specs():
+        for spec in all_specs():
             table = build_table(n, spec)
             full = full_rule_instances(n, spec)
             slow = subsets.copy()
@@ -270,7 +267,7 @@ def test_full_rules_hold_in_table_closure():
     # rules of a spec are the union of those of its single flags
     for n in range(1, 8):
         full = {flag: full_rule_instances(n, ClosureSpec.parse(flag)) for flag in "QSCKE"}
-        for spec in ClosureSpec.all_specs():
+        for spec in all_specs():
             table = build_table(n, spec)
             for flag in spec.flags:
                 for p, c in full[flag]:
@@ -292,7 +289,7 @@ def test_kept_rules_conclude_within_premise_level():
     # a rule whose largest premise endpoint is b concludes only intervals [a', b'] with
     # b' <= b, so the n-table closes a set of the first b levels as the b-table does
     for n in range(1, 9):
-        for spec in ClosureSpec.all_specs():
+        for spec in all_specs():
             for p, c in build_table(n, spec).rules():
                 b = interval_from_index(p.bit_length() - 1).b
                 assert c >> (b * (b + 1) // 2) == 0, (n, str(spec), p, c)

@@ -25,7 +25,7 @@ from intervalcat.errors import CapExceeded
 from intervalcat.intervals import IntervalSet, _iter_bits, hom_dim, universe_size
 from intervalcat.oracle import barcode, cokernel_rep, morphism_between_sums
 
-from helpers import closed_masks, hasse_covers
+from helpers import all_specs, closed_masks, counts, hasse_covers
 
 
 def spec(text: str) -> ClosureSpec:
@@ -54,7 +54,7 @@ def test_brute_cap(monkeypatch):
 
 def test_brute_equals_next_closure_all_specs():
     for n in (1, 2, 3, 5):
-        for s in ClosureSpec.all_specs():
+        for s in all_specs():
             assert count_brute(n, s) == count_next_closure(n, s), (n, str(s))
 
 
@@ -89,7 +89,7 @@ def _swept_closed_masks(n: int, s: ClosureSpec) -> set[int]:
 
 def test_lectic_stream_is_exact_all_specs():
     """The enumeration stream is every closed set of the sweep, in lectic order."""
-    for s in ClosureSpec.all_specs():
+    for s in all_specs():
         for n in range(1, 6):
             stream = list(_lectic_masks(build_table(n, s)))
             assert stream == _lectic_sorted(_swept_closed_masks(n, s), universe_size(n)), (str(s), n)
@@ -98,7 +98,7 @@ def test_lectic_stream_is_exact_all_specs():
 def test_lectic_stream_past_five_all_specs():
     """At n = 6 the stream is strictly lectic, every set is closed, and the sweep counts as many."""
     n = 6
-    for s in ClosureSpec.all_specs():
+    for s in all_specs():
         if not s.flags:
             continue
         table = build_table(n, s)
@@ -123,7 +123,7 @@ def test_layer_kernel_equals_direct_check_all_specs():
     subset sweep, not from the enumeration, which walks this same kernel.
     """
     n = 6
-    for s in ClosureSpec.all_specs():
+    for s in all_specs():
         table = build_table(n, s)
         for level in range(n):
             fixed = _layer_start(level)
@@ -171,10 +171,10 @@ def test_closed_count_matches_oracle_closedness_semantics():
 
 
 def test_layers_equal_next_closure_all_specs():
-    for s in ClosureSpec.all_specs():
-        counts = sequence(s, 6).counts()
-        assert counts == [count_next_closure(n, s) for n in range(1, 7)], str(s)
-        for n, count in enumerate(counts, start=1):
+    for s in all_specs():
+        row = counts(sequence(s, 6))
+        assert row == [count_next_closure(n, s) for n in range(1, 7)], str(s)
+        for n, count in enumerate(row, start=1):
             ref = reference_sequence(s, n)
             assert ref is None or ref == count, (str(s), n)
     assert count_layers(6, spec("C")) == 26118
@@ -199,7 +199,7 @@ def test_layer_states_are_sufficient():
     n <= 6 exact.  It proves nothing about larger n.
     """
     n = 6
-    for s in ClosureSpec.all_specs():
+    for s in all_specs():
         if not s.flags:
             continue
         table = build_table(n, s)
@@ -258,16 +258,16 @@ def test_reference_sequence():
 
 def test_sequence_reports():
     rep = sequence(spec("QE"), 5)
-    assert rep.counts() == [2, 5, 14, 42, 132]
+    assert counts(rep) == [2, 5, 14, 42, 132]
     assert rep.algorithm == "layers"
     assert [n for n, _ in rep.terms] == [1, 2, 3, 4, 5]
     assert len(rep.elapsed) == 5
 
     nc = sequence(spec("QE"), 5, algorithm="next-closure")
-    assert nc.counts() == rep.counts() and nc.algorithm == "next-closure"
+    assert counts(nc) == counts(rep) and nc.algorithm == "next-closure"
 
     brute = sequence(spec("QSE"), 4, algorithm="brute")
-    assert brute.counts() == [2, 4, 8, 16]
+    assert counts(brute) == [2, 4, 8, 16]
 
     with pytest.raises(ValueError):
         sequence(spec("Q"), 0)
@@ -298,7 +298,7 @@ def test_counts_monotone_under_more_flags():
 
 def test_duality_of_counts():
     for n in (2, 3, 4):
-        for s in ClosureSpec.all_specs():
+        for s in all_specs():
             assert count_next_closure(n, s) == count_next_closure(n, s.dual()), str(s)
 
 
@@ -337,7 +337,7 @@ class TestLattice:
 
     def test_covers_equal_pairwise_reference_all_specs(self):
         for n in (1, 2, 3):
-            for s in ClosureSpec.all_specs():
+            for s in all_specs():
                 fam = lattice(n, s)
                 assert fam.covers == hasse_covers([m.mask for m in fam.members]), (n, str(s))
 
