@@ -13,7 +13,9 @@ and shares it between all morphisms of those summands, which is most of
 what sweeping every coefficient pattern costs otherwise.  Sharing is safe
 because representations and matrices are immutable; the blocks, the
 coefficient checks and the commutation check of ``RepMorphism`` are still
-done for every morphism.
+done for every morphism.  The commutation check and the composite ranks of
+``barcode`` multiply bit-packed row lists (``gf2.mul_rows``) instead of
+building a matrix for every product.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
-from .gf2 import F2Matrix, block_diag, rank_of_rows
+from .gf2 import F2Matrix, block_diag, mul_rows, rank_of_rows
 from .intervals import Interval, hom_dim
 
 
@@ -128,9 +130,12 @@ class RepMorphism:
                     f"block {v} has shape {self.blocks[v].shape}, "
                     f"expected {(t.dims[v], s.dims[v])}"
                 )
+        # The shapes above make both sides t.dims[k] x s.dims[k + 1], so
+        # their rows can be compared without building matrices.
+        blocks = self.blocks
         for k in range(s.n - 1):
-            left = self.blocks[k] @ s.maps[k]
-            right = t.maps[k] @ self.blocks[k + 1]
+            left = mul_rows(blocks[k].rows, s.maps[k].rows)
+            right = mul_rows(t.maps[k].rows, blocks[k + 1].rows)
             if left != right:
                 raise ValueError(f"blocks do not commute with the arrow {k + 1} -> {k + 2}")
 
@@ -243,29 +248,34 @@ def barcode(rep: Representation) -> tuple[Interval, ...]:
     either side.
     """
     n = rep.n
-    rank = [[0] * (n + 2) for _ in range(n + 2)]
+    # rank[a][b] is the rank of the composite M(b) -> M(a), computed on row
+    # lists.  Row 0 and column n + 1 stay 0, so the formula needs no edge
+    # cases, and a composite of rank 0 stays 0 further down.
+    rank = [[0] * (n + 2) for _ in range(n + 1)]
     for b in range(1, n + 1):
-        cur = F2Matrix.identity(rep.dims[b - 1])
-        rank[b][b] = rep.dims[b - 1]
+        width = rep.dims[b - 1]
+        cur = [1 << i for i in range(width)]
+        rank[b][b] = width
         for a in range(b - 1, 0, -1):
-            cur = rep.maps[a - 1] @ cur
-            rank[a][b] = cur.rank()
+            if not rank[a + 1][b]:
+                break
+            cur = mul_rows(rep.maps[a - 1].rows, cur)
+            rank[a][b] = rank_of_rows(cur, width)
     out = []
     check = [0] * n
-    for a in range(1, n + 1):
-        for b in range(a, n + 1):
-            mult = rank[a][b] - rank[a - 1][b] - (rank[a][b + 1] if b < n else 0) + (
-                rank[a - 1][b + 1] if b < n else 0
-            )
+    # b outer, a inner: the bars come out in Interval order.
+    for b in range(1, n + 1):
+        for a in range(1, b + 1):
+            mult = rank[a][b] - rank[a - 1][b] - rank[a][b + 1] + rank[a - 1][b + 1]
             if mult < 0:
                 raise AssertionError(f"negative multiplicity at [{a},{b}] in {rep.debug_text()}")
             if mult:
                 out.extend([Interval(a, b)] * mult)
-                for v in range(a, b + 1):
-                    check[v - 1] += mult
+                for v in range(a - 1, b):
+                    check[v] += mult
     if tuple(check) != rep.dims:
         raise AssertionError(f"barcode does not add up to dims in {rep.debug_text()}")
-    return tuple(sorted(out))
+    return tuple(out)
 
 
 def hom_space_dim(x_rep: Representation, y_rep: Representation) -> int:

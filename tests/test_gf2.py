@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from intervalcat.gf2 import F2Matrix
+from intervalcat.gf2 import F2Matrix, block_diag, rank_of_rows
 
 
 def test_rank_examples():
@@ -20,6 +20,8 @@ def test_shapes_validated():
         F2Matrix(2, 2, (1, 4))  # 4 needs a third column
     with pytest.raises(ValueError, match="bad shape"):
         F2Matrix(-1, 2)
+    with pytest.raises(ValueError, match="bad shape"):
+        F2Matrix.identity(-1)
 
 
 def test_constructor_validation():
@@ -74,7 +76,8 @@ def test_left_kernel_and_column_space():
         m, k = rng.randint(0, 6), rng.randint(0, 6)
         a = F2Matrix(m, k, [rng.getrandbits(k) for _ in range(m)])
         lk = a.left_kernel_basis()
-        assert lk.nrows == m - a.rank()
+        assert lk.shape == (m - a.rank(), m)
+        assert lk.rank() == lk.nrows
         assert all(r == 0 for r in (lk @ a).rows)
         cs = a.column_space()
         assert cs.ncols == a.rank()
@@ -113,3 +116,51 @@ def test_transpose_involution():
     a = F2Matrix(2, 3, (0b101, 0b110))
     assert a.transpose().transpose() == a
     assert a.transpose().shape == (3, 2)
+
+
+def _random_matrix(rng, nrows, ncols):
+    return F2Matrix(nrows, ncols, [rng.getrandbits(ncols) for _ in range(nrows)])
+
+
+def test_unchecked_results_are_valid():
+    # Results built without the constructor's checks must survive the checked
+    # rebuild unchanged, rows kept as a tuple, for shapes with 0 rows or 0 columns too.
+    def checked(m):
+        rebuilt = F2Matrix(m.nrows, m.ncols, m.rows)
+        assert rebuilt == m and type(m.rows) is tuple
+        return m
+
+    rng = random.Random(23)
+    for trial in range(300):
+        m, k, q = rng.randint(0, 6), rng.randint(0, 6), rng.randint(0, 4)
+        if trial < 20:
+            m, k = (0, k) if trial % 2 else (m, 0)
+        a = _random_matrix(rng, m, k)
+        checked(F2Matrix.identity(k))
+        checked(a.transpose())
+        checked(a @ _random_matrix(rng, k, q))
+        checked(a.kernel_basis())
+        checked(a.left_kernel_basis())
+        checked(a.column_space())
+        checked(a.solve(a @ _random_matrix(rng, k, q)))
+        checked(a.solve_left(_random_matrix(rng, q, m) @ a))
+        checked(block_diag([a, _random_matrix(rng, q, m), F2Matrix.zeros(k, 0)]))
+    checked(block_diag([]))
+
+
+def test_solve_left_matches_definition():
+    rng = random.Random(31)
+    for trial in range(300):
+        m, k, q = rng.randint(0, 6), rng.randint(0, 6), rng.randint(0, 6)
+        if trial < 20:
+            m, k = (0, k) if trial % 2 else (m, 0)
+        a = _random_matrix(rng, m, k)
+        rhs = _random_matrix(rng, q, m) @ a
+        assert a.solve_left(rhs) @ a == rhs
+        rank = a.rank()
+        outside = next((1 << j for j in range(k) if rank_of_rows(a.rows + (1 << j,), k) > rank), None)
+        if outside is not None:
+            with pytest.raises(ValueError, match="inconsistent"):
+                a.solve_left(F2Matrix(q + 1, k, rhs.rows + (outside,)))
+        with pytest.raises(ValueError, match="rhs has 7 columns"):
+            a.solve_left(F2Matrix.zeros(q, 7))

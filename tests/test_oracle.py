@@ -7,6 +7,7 @@ from collections import Counter
 
 import pytest
 
+from intervalcat.gf2 import F2Matrix
 from intervalcat.intervals import (
     Interval,
     all_intervals,
@@ -144,6 +145,34 @@ def test_morphism_validation():
     )
     with pytest.raises(ValueError):
         RepMorphism(module_of(Interval(1, 1), 1), module_of(Interval(1, 1), 1), bad_blocks * 0)
+
+
+def test_morphism_rejects_blocks_that_do_not_commute():
+    one = F2Matrix.identity(1)
+    m = module_of(Interval(1, 2), 2)
+    RepMorphism(m, m, (one, one))
+    with pytest.raises(ValueError, match="do not commute"):
+        RepMorphism(m, m, (one, F2Matrix.zeros(1, 1)))
+    # Every choice of correctly shaped blocks is accepted exactly when each
+    # square commutes as a matrix product.
+    rng = random.Random(37)
+    n = 3
+    pool = all_intervals(n)
+    for _ in range(200):
+        s = sum_of([rng.choice(pool) for _ in range(rng.randint(0, 3))], n)
+        t = sum_of([rng.choice(pool) for _ in range(rng.randint(0, 3))], n)
+        blocks = tuple(
+            F2Matrix(t.dims[v], s.dims[v], [rng.getrandbits(s.dims[v]) for _ in range(t.dims[v])])
+            for v in range(n)
+        )
+        commutes = all(
+            blocks[k] @ s.maps[k] == t.maps[k] @ blocks[k + 1] for k in range(n - 1)
+        )
+        if commutes:
+            assert RepMorphism(s, t, blocks).blocks == blocks
+        else:
+            with pytest.raises(ValueError, match="do not commute"):
+                RepMorphism(s, t, blocks)
 
 
 def test_morphism_between_sums_takes_any_iterable():
