@@ -22,9 +22,10 @@ Three counting paths are kept, each where it serves best.
   two share the rule table and the family kernel below, which the tests
   check against a rule-by-rule closedness test, but not the merge.
 - The subset sweep (the cross-check of both, usable while the universe fits
-  a bit cap) holds one boolean per subset, 2^size bytes, and strikes out
-  every subset that breaks a rule through strided views of that array; it
-  makes no closure calls.
+  a bit cap) holds one bit per subset, 64 subsets to a uint64 word, 2^size
+  bits, and strikes out every subset that breaks a rule by masking strided
+  views of the words; it makes no closure calls and shares no kernel with
+  the other two.
 
 Each family is read off bitsets, with no closure (``_layer_kernel``).  A
 family is an int with one bit per subset L of layer k+1.  For closed X at
@@ -74,6 +75,12 @@ from .intervals import IntervalSet, _iter_bits, universe_size
 
 BRUTE_CAP_BITS = 24
 LATTICE_CAP = 4096
+
+# the subset sweep packs the subsets of its 6 lowest elements into one word;
+# _HOLDS[j] is the word of the 6-bit patterns that hold element j
+_LOW_BITS = 6
+_WORD = (1 << 64) - 1
+_HOLDS = tuple(sum(1 << p for p in range(64) if p >> j & 1) for j in range(_LOW_BITS))
 
 # (old premises, old conclusions, up, viol): see ``_layer_kernel``
 _LayerRule = tuple[int, int, int, int]
@@ -270,29 +277,54 @@ def count_layers(n: int, spec: ClosureSpec) -> int:
 def count_brute(n: int, spec: ClosureSpec) -> int:
     """Number of closed sets, by checking every subset of the universe.
 
-    The subsets are one boolean array of shape (2,) * size, where element
-    bit k is axis size-1-k, so the flat index of a subset is its mask.  A
-    subset breaks a rule when it holds every premise and lacks some
-    conclusion bit j; for each rule and each j, the strided view that fixes
-    the premise axes at 1 and axis j at 0 is set to False.  Premises and
-    conclusions of a table rule are disjoint.  The array takes 2^size
-    bytes (2 MB at n = 6, 16 MB at the cap of ``BRUTE_CAP_BITS`` = 24 bits)
-    and nothing is copied.
+    The subsets are packed 64 to a word.  With low = min(size, 6), bit p of
+    a word is the subset whose low elements (the first three layers) form
+    the pattern p, and the words form a uint64 array of shape
+    (2,) * (size - low), where element k >= low is axis size-1-k, so the
+    flat index of a word is the mask shifted right by low.  For size < 6
+    only the low 2^size bits of the single word are valid.
+
+    A subset breaks a rule when it holds every premise and lacks some
+    conclusion; premises and conclusions of a table rule are disjoint.
+    Each rule is split at bit low.  Let lp be the word of patterns holding
+    the low premises, and for each low element j let HOLDS[j] be the word
+    of patterns holding j.  On the strided view that fixes the high premise
+    axes at 1, all low conclusions together clear OR_j (lp & ~HOLDS[j]) in
+    one ``&=``, and each high conclusion j clears lp in one ``&=`` on the
+    view that also fixes axis j at 0.  A rule costs at most 1 + (its high
+    conclusions) numpy calls, each over at most 2^15 words at n = 6.  The
+    words take 2^size bits (256 KB at n = 6, 2 MB at the cap of
+    ``BRUTE_CAP_BITS`` = 24 bits), no view is copied, and the count is the
+    popcount of one byte copy of the words.
     """
     size = universe_size(n)
     if size > BRUTE_CAP_BITS:
         raise CapExceeded(f"subset sweep needs {size} bits, cap is {BRUTE_CAP_BITS}")
     table = build_table(n, spec)
-    ok = np.ones((2,) * size, dtype=bool)
+    low = min(size, _LOW_BITS)
+    high = size - low
+    low_mask = (1 << low) - 1
+    words = np.full((2,) * high, (1 << (1 << low)) - 1, dtype=np.uint64)
     for prem, conc in table.rules():
-        index = [slice(None)] * size
-        for k in _iter_bits(prem):
-            index[size - 1 - k] = 1
-        for j in _iter_bits(conc):
-            index[size - 1 - j] = 0
-            ok[tuple(index)] = False
-            index[size - 1 - j] = slice(None)
-    return int(np.count_nonzero(ok))
+        lp = _WORD
+        for k in _iter_bits(prem & low_mask):
+            lp &= _HOLDS[k]
+        # the Ellipsis keeps an index that fixes every axis a 0-d view, not a copy
+        index = [slice(None)] * high + [Ellipsis]
+        for k in _iter_bits(prem >> low):
+            index[high - 1 - k] = 1
+        clear = 0
+        for j in _iter_bits(conc & low_mask):
+            clear |= lp & ~_HOLDS[j]
+        if clear:
+            view = words[tuple(index)]
+            view &= np.uint64(_WORD & ~clear)
+        for j in _iter_bits(conc >> low):
+            index[high - 1 - j] = 0
+            view = words[tuple(index)]
+            view &= np.uint64(_WORD & ~lp)
+            index[high - 1 - j] = slice(None)
+    return int.from_bytes(words.tobytes(), "little").bit_count()
 
 
 def reference_sequence(spec: ClosureSpec, n: int) -> Optional[int]:

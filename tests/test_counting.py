@@ -53,9 +53,29 @@ def test_brute_cap(monkeypatch):
 
 
 def test_brute_equals_next_closure_all_specs():
-    for n in (1, 2, 3, 5):
+    for n in range(1, 7):
         for s in all_specs():
             assert count_brute(n, s) == count_next_closure(n, s), (n, str(s))
+
+
+def test_brute_packing_matches_plain_sweep():
+    """The packed sweep counts as a per-mask sweep does, across the word boundary.
+
+    Sizes 1 and 3 fill part of a word, 6 exactly one, and 10 and 15 have
+    word axes; the empty spec counts every valid bit of the words.
+    """
+    for n in range(1, 6):
+        for s in all_specs():
+            assert count_brute(n, s) == len(_swept_closed_masks(n, s)), (n, str(s))
+    for n in range(1, 7):
+        assert count_brute(n, spec("")) == 2 ** universe_size(n), n
+
+
+def test_brute_witnesses_layers_at_seven(monkeypatch):
+    """Above the CLI cap the sweep, which shares no kernel with the transfer, still checks it."""
+    monkeypatch.setattr(counting, "BRUTE_CAP_BITS", 28)
+    for text in ("C", "K", "E", "CK"):
+        assert count_brute(7, spec(text)) == count_layers(7, spec(text)), text
 
 
 def test_enumeration_is_lectic_and_distinct():
