@@ -192,13 +192,12 @@ def cmd_check(args: argparse.Namespace) -> int:
     spec = ClosureSpec.parse(args.ops)
     n = _positive("--n", args.n)
     s = IntervalSet.from_literal(n, args.set)
-    closed = closure(s, spec)
-    missing = closed - s
-    if missing.mask == 0:
+    missing = closure(s, spec).mask & ~s.mask
+    if missing == 0:
         print("closed")
     else:
         print("not closed")
-        print(f"missing: {missing.to_literal()}")
+        print(f"missing: {IntervalSet(n, missing).to_literal()}")
     return 0
 
 
@@ -220,6 +219,8 @@ def cmd_poset(args: argparse.Namespace) -> int:
     for c in checks:
         if c not in _POSET_CHECKS + ("chain",):
             raise ValueError(f"unknown check {c!r}; available: {', '.join(_POSET_CHECKS + ('chain',))}")
+    if "chain" in checks and not p.is_chain():
+        raise ValueError("the chain check needs a totally ordered input poset")
     print(f"elements = {len(p)}")
     if "ideals" in checks:
         print(f"ideals = {len(ideals(p))}")
@@ -238,8 +239,6 @@ def cmd_poset(args: argparse.Namespace) -> int:
     if "incidence" in checks:
         print(f"incidence_dimension = {incidence_dimension(p)}")
     if "chain" in checks:
-        if not p.is_chain():
-            raise ValueError("the chain check needs a totally ordered input poset")
         print(f"chain_equivalence = {str(chain_equivalence_check(len(p))).lower()}")
     return 0
 

@@ -79,8 +79,8 @@ three targets (and, for kernels, at most three sources and one target).
 Rules are (premise mask, conclusion mask) pairs over canonical interval
 indices from generation to table; instances with equal premises are
 merged into one rule.  The closure of a set is the least fixed point of
-the rule system, computed by worklist saturation over bitmasks
-(``RuleTable.closure``).
+the rule system, computed by sweeping the rule list over a bitmask until
+a sweep adds nothing (``RuleTable.closure``).
 """
 
 from __future__ import annotations
@@ -92,7 +92,6 @@ from typing import Iterable, Iterator, Optional
 from .intervals import (
     Interval,
     IntervalSet,
-    _iter_bits,
     all_intervals,
     cokernel_pair,
     cokernel_single,
@@ -102,7 +101,6 @@ from .intervals import (
     kernel_single,
     quotients,
     subobjects,
-    universe_size,
 )
 
 FLAG_ORDER = "QSCKE"
@@ -237,60 +235,47 @@ def rule_instances(n: int, spec: ClosureSpec) -> list[tuple[int, int]]:
 
 
 class RuleTable:
-    """Every rule of ``rule_instances``, indexed by premise element for the worklist."""
+    """Every rule of ``rule_instances``, as (premise mask, conclusion mask) pairs."""
 
-    __slots__ = ("n", "_prem", "_conc", "_by_elem")
+    __slots__ = ("n", "_rules")
 
     def __init__(self, n: int, spec: ClosureSpec):
         self.n = n
-        rules = rule_instances(n, spec)
-        self._prem = [p for p, _ in rules]
-        self._conc = [c for _, c in rules]
-        self._by_elem: list[list[int]] = [[] for _ in range(universe_size(n))]
-        for idx, pmask in enumerate(self._prem):
-            for i in _iter_bits(pmask):
-                self._by_elem[i].append(idx)
+        self._rules = rule_instances(n, spec)
 
     @property
     def rule_count(self) -> int:
-        return len(self._prem)
+        return len(self._rules)
 
     def closure(self, mask: int, forbidden: int = 0) -> Optional[int]:
         """Least fixed point containing mask; None as soon as it adds an element of forbidden.
 
-        A worklist saturation: each element is pushed once, when it enters
-        the result, and tries the rules that hold it as a premise.
+        Sweeps over every rule until a sweep adds nothing.  Each sweep but
+        the last adds an element, so there are at most |universe| + 1.
         """
         result = mask
-        by_elem = self._by_elem
-        prem = self._prem
-        conc = self._conc
-        stack = [mask]  # masks of elements still to push
-        while stack:
-            bits = stack.pop()
-            while bits:
-                low = bits & -bits
-                bits ^= low
-                for r in by_elem[low.bit_length() - 1]:
-                    p = prem[r]
-                    if p & result == p:
-                        new = conc[r] & ~result
-                        if new:
-                            if new & forbidden:
-                                return None
-                            result |= new
-                            stack.append(new)
+        grown = True
+        while grown:
+            grown = False
+            for p, c in self._rules:
+                if p & result == p:
+                    new = c & ~result
+                    if new:
+                        if new & forbidden:
+                            return None
+                        result |= new
+                        grown = True
         return result
 
     def is_closed(self, mask: int) -> bool:
-        for p, c in zip(self._prem, self._conc):
+        for p, c in self._rules:
             if p & mask == p and c & ~mask:
                 return False
         return True
 
     def rules(self) -> Iterator[tuple[int, int]]:
         """The rules as (premise mask, conclusion mask); the two are disjoint."""
-        return zip(self._prem, self._conc)
+        return iter(self._rules)
 
 
 @lru_cache(maxsize=None)

@@ -71,7 +71,7 @@ import numpy as np
 
 from .closure import ClosureSpec, RuleTable, _essential_flags, build_table
 from .errors import CapExceeded
-from .intervals import IntervalSet, _iter_bits, universe_size
+from .intervals import IntervalSet, _iter_bits, all_intervals, universe_size
 
 BRUTE_CAP_BITS = 24
 LATTICE_CAP = 4096
@@ -414,25 +414,26 @@ def sequence(spec: ClosureSpec, n_max: int, algorithm: str = "layers") -> Sequen
 
 @dataclass(frozen=True)
 class ClosedFamily:
-    """All closed sets for one (n, spec), with the cover relation of inclusion."""
+    """All closed sets for one (n, spec) as masks, with the cover relation of inclusion."""
 
     n: int
     spec: ClosureSpec
-    members: tuple[IntervalSet, ...]
+    members: tuple[int, ...]
     covers: tuple[tuple[int, int], ...]
 
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,
             "ops": str(self.spec),
-            "members": [m.indices() for m in self.members],
+            "members": [list(_iter_bits(m)) for m in self.members],
             "covers": [list(c) for c in self.covers],
         }
 
     def to_dot(self) -> str:
+        names = [str(iv) for iv in all_intervals(self.n)]
         lines = ["digraph closed_sets {", "  rankdir=BT;"]
         for i, m in enumerate(self.members):
-            label = "{" + ",".join(str(iv) for iv in m.members) + "}"
+            label = "{" + ",".join(names[k] for k in _iter_bits(m)) + "}"
             lines.append(f'  n{i} [label="{label}"];')
         for lo, hi in self.covers:
             lines.append(f"  n{lo} -> n{hi};")
@@ -451,12 +452,11 @@ def lattice(n: int, spec: ClosureSpec, max_members: int = LATTICE_CAP) -> Closed
     marks everything above it as dominated.  Members of one level are never
     comparable, so each level is a single bitmap step.
     """
-    members = []
-    for s in iter_closed_sets(n, spec):
-        members.append(s)
-        if len(members) > max_members:
+    masks = []
+    for mask in closed_masks(n, spec):
+        masks.append(mask)
+        if len(masks) > max_members:
             raise CapExceeded(f"more than {max_members} closed sets; raise the cap to materialise")
-    masks = [m.mask for m in members]
     everyone = (1 << len(masks)) - 1
     contain = [0] * universe_size(n)
     levels = [0] * (universe_size(n) + 1)
@@ -482,4 +482,4 @@ def lattice(n: int, spec: ClosureSpec, max_members: int = LATTICE_CAP) -> Closed
                 rest &= ~above[c]
             rest &= ~level
     covers.sort()
-    return ClosedFamily(n, spec, tuple(members), tuple(covers))
+    return ClosedFamily(n, spec, tuple(masks), tuple(covers))

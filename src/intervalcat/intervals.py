@@ -215,16 +215,8 @@ class IntervalSet:
     def members(self) -> tuple[Interval, ...]:
         return tuple(interval_from_index(i) for i in _iter_bits(self.mask))
 
-    def indices(self) -> list[int]:
-        return list(_iter_bits(self.mask))
-
     def dual(self) -> "IntervalSet":
         return IntervalSet.of(self.n, (dual(iv, self.n) for iv in self.members))
-
-    def __sub__(self, other: "IntervalSet") -> "IntervalSet":
-        if self.n != other.n:
-            raise ValueError(f"ambient mismatch: n={self.n} vs n={other.n}")
-        return IntervalSet(self.n, self.mask & ~other.mask)
 
     def to_literal(self) -> str:
         """Wire form "a,b;c,d;..." in canonical index order ('' for the empty set)."""

@@ -218,6 +218,22 @@ def test_lattice_json_matches_count(capsys):
     assert int(out) == 5
 
 
+def test_lattice_walks_the_sets_of_list_all_specs(capsys):
+    # the JSON members are the list's index lists and each DOT label its text line, bracketed
+    for s in all_specs():
+        for n in range(1, 5):
+            ops = str(s) or "none"
+            _, out, _ = run(capsys, "list", "--n", str(n), "--ops", ops, "--format", "json")
+            sets = json.loads(out)["sets"]
+            _, out, _ = run(capsys, "lattice", "--n", str(n), "--ops", ops, "--format", "json")
+            assert json.loads(out)["members"] == sets, (ops, n)
+            _, out, _ = run(capsys, "list", "--n", str(n), "--ops", ops)
+            labels = ["{" + ",".join(f"[{iv}]" for iv in line.split(";") if iv) + "}" for line in out.splitlines()]
+            _, out, _ = run(capsys, "lattice", "--n", str(n), "--ops", ops)
+            nodes = [line for line in out.splitlines() if "label=" in line]
+            assert nodes == [f'  n{i} [label="{label}"];' for i, label in enumerate(labels)], (ops, n)
+
+
 def test_lattice_cap_exit_3(capsys):
     code, _, _ = run(capsys, "lattice", "--n", "3", "--ops", "", "--max-members", "5")
     assert code == 3
@@ -285,16 +301,26 @@ def test_poset_subfunctor_cap_is_on_the_total(capsys, tmp_path, monkeypatch):
     assert err == "error: the subfunctor report sweeps 14 supports, cap is 13\n"
 
 
-def test_poset_chain_check(capsys, tmp_path):
+def test_poset_chain_check(capsys, tmp_path, monkeypatch):
     f = tmp_path / "chain.poset"
     f.write_text("a <= b\nb <= c\n", encoding="utf-8")
     code, out, _ = run(capsys, "poset", "--file", str(f), "--checks", "chain")
     assert code == 0
     assert "chain_equivalence = true" in out
+
+    # a poset that is not a chain is rejected before any report line or sweep
+    def no_sweep(p):
+        raise AssertionError("swept before the chain check")
+
+    monkeypatch.setattr(cli, "ideals", no_sweep)
     g = tmp_path / "anti.poset"
     g.write_text("a\nb\n", encoding="utf-8")
-    code, _, err = run(capsys, "poset", "--file", str(g), "--checks", "chain")
-    assert code == 2
+    code, out, _ = run(capsys, "poset", "--file", str(g), "--checks", "chain")
+    assert (code, out) == (2, "")
+    g.write_text("a\nb\nc\nx <= a\n", encoding="utf-8")
+    code, out, err = run(capsys, "poset", "--file", str(g), "--checks", "ideals,chain")
+    assert (code, out) == (2, "")
+    assert err == "error: the chain check needs a totally ordered input poset\n"
 
 
 def test_poset_cycle_exit_2(capsys, tmp_path):

@@ -335,14 +335,14 @@ class TestLattice:
             s = spec(s_str)
             fam = lattice(3, s)
             assert len(fam.members) == count_next_closure(3, s)
-            masks = {m.mask for m in fam.members}
+            masks = set(fam.members)
             for a in masks:
                 for b in masks:
                     assert (a & b) in masks
 
     def test_covers_form_transitive_reduction(self):
         fam = lattice(2, spec("E"))
-        masks = [m.mask for m in fam.members]
+        masks = fam.members
         for lo, hi in fam.covers:
             assert masks[lo] & ~masks[hi] == 0 and masks[lo] != masks[hi]
             for k in range(len(masks)):
@@ -359,7 +359,7 @@ class TestLattice:
         for n in (1, 2, 3):
             for s in all_specs():
                 fam = lattice(n, s)
-                assert fam.covers == hasse_covers([m.mask for m in fam.members]), (n, str(s))
+                assert fam.covers == hasse_covers(list(fam.members)), (n, str(s))
 
     def test_cap(self):
         with pytest.raises(CapExceeded):

@@ -181,7 +181,6 @@ class TestIntervalSet:
         s = IntervalSet.of(3, [Interval(1, 1), Interval(2, 3)])
         assert s.mask == (1 << 0) | (1 << 4)
         assert IntervalSet(3, s.mask).members == (Interval(1, 1), Interval(2, 3))
-        assert s.indices() == [0, 4]
 
     def test_bounds_checked(self):
         with pytest.raises(ValueError):
@@ -203,14 +202,6 @@ class TestIntervalSet:
         for n, m in masks:
             s = IntervalSet(n, m)
             assert s.to_literal() == ";".join(iv.to_text() for iv in s.members), (n, m)
-
-    def test_set_algebra(self):
-        a = IntervalSet(3, 1 << 0 | 1 << 1)
-        b = IntervalSet(3, 1 << 1 | 1 << 5)
-        assert (a - b).indices() == [0]
-        assert (b - a).indices() == [5]
-        with pytest.raises(ValueError):
-            a - IntervalSet.empty(4)
 
     def test_dual_set(self):
         s = IntervalSet.of(3, [Interval(1, 1), Interval(1, 2)])
