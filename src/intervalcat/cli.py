@@ -9,14 +9,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import islice
-from typing import Iterator
 
 from .closure import ClosureSpec, closure
 from .counting import (
     BRUTE_CAP_BITS,
     LATTICE_CAP,
-    closed_masks,
+    closed_groups,
     count_brute,
     count_layers,
     count_next_closure,
@@ -36,7 +34,7 @@ _ALGORITHM_HELP = (
 )
 _VERIFY_HELP = "cross-check against the subset sweep (against next-closure for --algorithm brute); n <= 6"
 _POSET_CHECKS = ("ideals", "subfunctors", "incidence")
-_LIST_BATCH = 4096  # sets per write of ``list``
+_LIST_BATCH = 4096  # least sets per write of ``list``, whole parents
 
 
 def _positive(name: str, value: int) -> int:
@@ -120,7 +118,12 @@ def cmd_sequence(args: argparse.Namespace) -> int:
 
 
 class _LayerTexts(dict):
-    """The text of each subset of one layer, keyed by its layer mask, filled on first use."""
+    """The text of each subset of a layer, keyed by its mask in place, filled on first use.
+
+    Subsets of different layers have disjoint masks, so one table serves
+    every layer, with fewer than 2^(n+1) texts: every spec lists at least
+    2^n sets (QSCKE, the largest rule set, has 2^n).
+    """
 
     def __init__(self, names: tuple[str, ...], sep: str) -> None:
         super().__init__()
@@ -132,58 +135,41 @@ class _LayerTexts(dict):
         return text
 
 
-def _set_texts(n: int, masks: Iterator[int], names: tuple[str, ...], sep: str) -> Iterator[str]:
-    """The member names of each set, by canonical index, joined by ``sep``.
-
-    A set's text is the join of the texts of its non-empty layers, read off
-    one table per layer (``_LayerTexts``).  The top layer has 2^n subsets,
-    and QSCKE, the largest rule set, has exactly 2^n closed sets, so every
-    spec lists at least 2^n sets: even full tables hold no more texts than
-    the lines printed.  Filled lazily, they hold only the texts of the
-    layers that some listed set has, which keeps memory flat.  The walk
-    yields the leaves of one parent one after another, and these share
-    every layer below the top, so the text of those layers is joined again
-    only when ``m & low`` changes.
-    """
-    tables = []
-    for level in range(n):
-        start = level * (level + 1) // 2
-        tables.append((start, (1 << level + 1) - 1, _LayerTexts(names[start : start + level + 1], sep)))
-    shift, _, top = tables.pop()
-    low = (1 << shift) - 1
-    below = -1
-    for m in masks:
-        if m & low != below:
-            below = m & low
-            prefix = sep.join([text for start, width, table in tables if (text := table[below >> start & width])])
-            head = prefix + sep if prefix else ""
-        layer = m >> shift
-        yield head + top[layer] if layer else prefix
-
-
 def cmd_list(args: argparse.Namespace) -> int:
-    """Print the closed sets as they are walked, ``_LIST_BATCH`` sets to a write.
+    """Print the closed sets as they are walked, whole parents and at least ``_LIST_BATCH`` sets to a write.
 
     Both formats are ``head + join.join(texts) + tail``: lines of interval
     texts for text, and for JSON the ``sets`` array of index lists, each
-    set's indices joined by ``", "`` and the sets by ``"], ["``.
+    set's indices joined by ``", "`` and the sets by ``"], ["``.  The walk
+    hands out the sets of one last-level parent x as one group, the x | top;
+    they share every layer below the top, so the text of x is joined once
+    for the group, from one ``_LayerTexts`` table, and each set adds the
+    text of its top layer.
     """
     spec = ClosureSpec.parse(args.ops)
     n = _positive("--n", args.n)
-    masks = closed_masks(n, spec)
     if args.format == "json":
-        texts = _set_texts(n, masks, tuple(map(str, range(universe_size(n)))), ", ")
+        names, sep = tuple(map(str, range(universe_size(n)))), ", "
         head, join, tail = f'{{"n": {n}, "ops": {json.dumps(str(spec))}, "sets": [[', "], [", "]]}\n"
     else:
-        texts = _set_texts(n, masks, _interval_texts(n), ";")
+        names, sep = _interval_texts(n), ";"
         head, join, tail = "", "\n", "\n"
+    texts = _LayerTexts(names, sep)
+    lows = [((1 << level + 1) - 1) << level * (level + 1) // 2 for level in range(n - 1)]
     out = sys.stdout
     out.write(head)
     lead = ""
-    while batch := list(islice(texts, _LIST_BATCH)):
+    batch: list[str] = []
+    for x, tops in closed_groups(n, spec):
+        prefix = sep.join([text for low in lows if (text := texts[x & low])])
+        start = prefix + sep if prefix else ""
+        batch += [start + texts[top] if top else prefix for top in tops]
+        if len(batch) >= _LIST_BATCH:
+            out.write(lead + join.join(batch))
+            lead = join
+            batch = []
+    if batch:
         out.write(lead + join.join(batch))
-        lead = join
-        del batch  # free it before the next batch is built
     out.write(tail)
     return 0
 

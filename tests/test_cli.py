@@ -187,6 +187,20 @@ def test_list_streams_in_batches(monkeypatch):
     assert max(map(len, stub.writes)) <= total / 4
 
 
+def test_list_bytes_do_not_depend_on_the_batch_size(capsys, monkeypatch):
+    """A write holds whole parents; the batch size moves where writes fall, never the bytes."""
+    for s in all_specs():
+        ops = str(s) or "none"
+        for n in range(1, 5):
+            for fmt in ("text", "json"):
+                argv = ("list", "--n", str(n), "--ops", ops, "--format", fmt)
+                outputs = set()
+                for batch in (1, 3, 4096):
+                    monkeypatch.setattr(cli, "_LIST_BATCH", batch)
+                    outputs.add(run(capsys, *argv))
+                assert len(outputs) == 1, (ops, n, fmt)
+
+
 def test_check(capsys):
     code, out, _ = run(capsys, "check", "--n", "2", "--ops", "E", "--set", "1,1;2,2")
     assert code == 0

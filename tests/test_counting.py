@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
@@ -111,7 +112,7 @@ def test_lectic_stream_is_exact_all_specs():
     """The enumeration stream is every closed set of the sweep, in lectic order."""
     for s in all_specs():
         for n in range(1, 6):
-            stream = list(_lectic_masks(build_table(n, s)))
+            stream = list(counting.closed_masks(n, s))
             assert stream == _lectic_sorted(_swept_closed_masks(n, s), universe_size(n)), (str(s), n)
 
 
@@ -122,11 +123,53 @@ def test_lectic_stream_past_five_all_specs():
         if not s.flags:
             continue
         table = build_table(n, s)
-        stream = list(_lectic_masks(table))
+        stream = list(counting.closed_masks(n, s))
         # sorting the distinct masks gives the stream back only if it has no repeats
         assert stream == _lectic_sorted(set(stream), universe_size(n)), str(s)
         assert all(table.is_closed(mask) for mask in stream), str(s)
         assert len(stream) == count_brute(n, s), str(s)
+
+
+class _GivenRules:
+    """A rule table given by its (premise, conclusion) pairs, for rule sets no spec generates."""
+
+    def __init__(self, n: int, rules: list[tuple[int, int]]):
+        self.n = n
+        self._rules = rules
+
+    def rules(self):
+        return iter(self._rules)
+
+
+def _random_rules(rng: random.Random, n: int, count: int) -> list[tuple[int, int]]:
+    """Rules that conclude within the layer of their largest premise, as the walk requires."""
+    rules = []
+    for _ in range(count):
+        top = rng.randrange(universe_size(n))
+        below = _layer_start(next(k for k in range(1, n + 1) if top < _layer_start(k)))
+        prem = 1 << top | sum(1 << i for i in range(top) if rng.random() < 0.15)
+        conc = sum(1 << i for i in range(below) if rng.random() < 0.2) & ~prem
+        if conc:
+            rules.append((prem, conc))
+    return rules
+
+
+def test_lectic_stream_on_families_that_recur_across_levels():
+    """The walk is exact when one family int stands for different layers at different levels.
+
+    Under [2,2] -> [1,1] the root and the empty set at level 1 both have the
+    family 0b11: the empty layer and {[1,1]} at the root, the empty layer
+    and {[1,2]} below it.  Random rule sets at n = 4 give more such repeats.
+    """
+    rng = random.Random(20)
+    tables = [(2, [(0b100, 0b001)]), (3, [(0b100, 0b001)])]
+    tables += [(4, _random_rules(rng, 4, count)) for count in (2, 4, 8, 12) for _ in range(10)]
+    for n, rules in tables:
+        stream = [x | top for x, tops in _lectic_masks(_GivenRules(n, rules)) for top in tops]
+        premises: dict[int, int] = {}
+        for prem, conc in rules:
+            premises[prem] = premises.get(prem, 0) | conc
+        assert stream == _lectic_sorted(closed_masks(n, premises), universe_size(n)), (n, rules)
 
 
 def _layer_start(level: int) -> int:
