@@ -24,7 +24,7 @@ from .counting import (
     sequence,
 )
 from .errors import CapExceeded
-from .intervals import IntervalSet, _interval_texts, _iter_bits, universe_size
+from .intervals import IntervalSet, _interval_texts, _iter_bits, _layer_masks, all_intervals, universe_size
 from .posets import SUBFUNCTOR_CAP, chain_equivalence_check, ideals, incidence_dimension, load_poset, subfunctor_count
 
 _ALGORITHMS = ("layers", "next-closure", "brute")
@@ -155,7 +155,7 @@ def cmd_list(args: argparse.Namespace) -> int:
         names, sep = _interval_texts(n), ";"
         head, join, tail = "", "\n", "\n"
     texts = _LayerTexts(names, sep)
-    lows = [((1 << level + 1) - 1) << level * (level + 1) // 2 for level in range(n - 1)]
+    lows = _layer_masks(n - 1)
     out = sys.stdout
     out.write(head)
     lead = ""
@@ -188,14 +188,33 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_lattice(args: argparse.Namespace) -> int:
+    """Write the lattice as DOT or JSON, the member texts from one ``_LayerTexts`` table.
+
+    DOT labels join interval names by ``","`` and JSON members join indices
+    by ``", "``; the JSON is written by hand in ``sort_keys`` order, as
+    ``json.dumps(..., sort_keys=True)`` would print it.
+    """
     spec = ClosureSpec.parse(args.ops)
     n = _positive("--n", args.n)
     max_members = _positive("--max-members", args.max_members)
     fam = lattice(n, spec, max_members=max_members)
     if args.format == "json":
-        print(json.dumps(fam.to_json_dict(), sort_keys=True))
+        names, sep = tuple(map(str, range(universe_size(n)))), ", "
     else:
-        sys.stdout.write(fam.to_dot())
+        names, sep = tuple(map(str, all_intervals(n))), ","
+    texts = _LayerTexts(names, sep)
+    lows = _layer_masks(n)
+    members = [sep.join([text for low in lows if (text := texts[m & low])]) for m in fam.members]
+    if args.format == "json":
+        covers = "], [".join([f"{j}, {c}" for j, c in fam.covers])
+        sys.stdout.write(
+            f'{{"covers": [[{covers}]], "members": [[{"], [".join(members)}]], '
+            f'"n": {n}, "ops": {json.dumps(str(spec))}}}\n'
+        )
+    else:
+        nodes = "".join([f'  n{i} [label="{{{text}}}"];\n' for i, text in enumerate(members)])
+        edges = "".join([f"  n{j} -> n{c};\n" for j, c in fam.covers])
+        sys.stdout.write(f"digraph closed_sets {{\n  rankdir=BT;\n{nodes}{edges}}}\n")
     return 0
 
 

@@ -59,7 +59,11 @@ which merges differently (1,430 states against 6,336 at n = 8).  The
 empty spec has no rules, so its family is every subset of the layer and a
 single state carries every set.
 
-Hasse covers of a closed family are found with bitmaps over member indices.
+Hasse covers of a closed family (``lattice``) are found with bitmaps over
+member indices in one pass over the members in lectic order.  That order is
+a linear extension of inclusion, so the lowest-indexed member strictly
+above a set that no cover found so far lies below is itself a cover; no
+member is grouped by size and no cover is sorted.
 """
 
 from __future__ import annotations
@@ -73,7 +77,7 @@ import numpy as np
 
 from .closure import ClosureSpec, RuleTable, _essential_flags, build_table
 from .errors import CapExceeded
-from .intervals import IntervalSet, _iter_bits, all_intervals, universe_size
+from .intervals import IntervalSet, _iter_bits, _layer_masks, universe_size
 
 BRUTE_CAP_BITS = 24
 LATTICE_CAP = 4096
@@ -235,17 +239,22 @@ def _layer_family(full: int, forced: int, live: list[_LayerRule], x: int) -> int
 
 
 def _layer_counts(n_max: int, spec: ClosureSpec) -> Iterator[int]:
-    """Number of closed sets at n = 1..n_max, by the layer transfer of ``count_layers``."""
+    """Number of closed sets at n = 1..n_max, by the layer transfer of ``count_layers``.
+
+    Each term is the sum of multiplicity times |F| over the sets grown in
+    its step, so the last step counts its sets without merging them into
+    states that nothing would read.
+    """
     table = build_table(n_max, spec)
     full, rules = _layer_kernel(table, 0)
     states = {_layer_family(full, 0, rules, 0): [0, 1]}
-    for level in range(n_max):
-        yield sum(mult * family.bit_count() for family, (_, mult) in states.items())
-        if level + 1 == n_max:
-            return
+    yield sum(mult * family.bit_count() for family, (_, mult) in states.items())
+    for level in range(n_max - 1):
+        last = level + 2 == n_max
         shift = level * (level + 1) // 2
         below = (1 << shift) - 1
         full, rules = _layer_kernel(table, level + 1)
+        total = 0
         nxt: dict[int, list[int]] = {}
         for family, (rep, mult) in states.items():
             # the grown sets all agree with rep below the layer just added
@@ -253,11 +262,15 @@ def _layer_counts(n_max: int, spec: ClosureSpec) -> Iterator[int]:
             for layer in _iter_bits(family):
                 grown = rep | (layer << shift)
                 key = _layer_family(full, forced, live, grown)
+                total += mult * key.bit_count()
+                if last:
+                    continue
                 entry = nxt.get(key)
                 if entry is None:
                     nxt[key] = [grown, mult]
                 else:
                     entry[1] += mult
+        yield total
         states = nxt
 
 
@@ -434,65 +447,65 @@ class ClosedFamily:
     members: tuple[int, ...]
     covers: tuple[tuple[int, int], ...]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "ops": str(self.spec),
-            "members": [list(_iter_bits(m)) for m in self.members],
-            "covers": [list(c) for c in self.covers],
-        }
-
-    def to_dot(self) -> str:
-        names = [str(iv) for iv in all_intervals(self.n)]
-        lines = ["digraph closed_sets {", "  rankdir=BT;"]
-        for i, m in enumerate(self.members):
-            label = "{" + ",".join(names[k] for k in _iter_bits(m)) + "}"
-            lines.append(f'  n{i} [label="{label}"];')
-        for lo, hi in self.covers:
-            lines.append(f"  n{lo} -> n{hi};")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-
 
 def lattice(n: int, spec: ClosureSpec, max_members: int = LATTICE_CAP) -> ClosedFamily:
-    """Materialise the closed sets in lectic order plus their Hasse covers.
+    """Materialise the closed sets in lectic order plus their Hasse covers, sorted.
 
+    Lectic order is a linear extension of inclusion: a proper superset holds
+    the lowest element where it differs from its subset, so it comes later.
     Covers are found with bitmaps over member indices: ``contain[k]`` has
-    bit i set when member i holds element k, so the members strictly above
-    member j are the AND of ``contain[k]`` over the elements k of member j,
-    minus j itself.  Those are walked level by level in increasing size; a
-    member not yet dominated is an upper cover of j, and each cover found
-    marks everything above it as dominated.  Members of one level are never
-    comparable, so each level is a single bitmap step.
+    bit i set when member i holds element k, and ``above[j]``, the members
+    holding member j, is the AND of ``contain[k]`` over the elements k of
+    member j, taken one layer part at a time, each part's AND cached.  The
+    members strictly above j are then read in increasing index.  The lowest
+    one, c, is an upper cover: a member strictly between j and c would be
+    above j with a smaller index.  It is recorded and everything above it
+    struck out; the lowest member left is again a cover, since one between
+    it and j would have a smaller index and lie above no cover found so
+    far, so it would still be left.  Each cover costs one AND, and the
+    covers come out sorted.
     """
-    masks = []
-    for mask in closed_masks(n, spec):
-        masks.append(mask)
-        if len(masks) > max_members:
+    groups = []
+    count = 0
+    for x, tops in closed_groups(n, spec):
+        groups.append((x, tops))
+        count += len(tops)
+        if count > max_members:
             raise CapExceeded(f"more than {max_members} closed sets; raise the cap to materialise")
-    everyone = (1 << len(masks)) - 1
-    contain = [0] * universe_size(n)
-    levels = [0] * (universe_size(n) + 1)
-    for i, m in enumerate(masks):
-        bit = 1 << i
-        levels[m.bit_count()] |= bit
-        for k in _iter_bits(m):
-            contain[k] |= bit
+    masks = [x | top for x, tops in groups for top in tops]
+    size = universe_size(n)
+    # one bit transpose: member rows of element bits to element rows of member bits
+    width = (size + 7) // 8
+    rows = np.frombuffer(b"".join([m.to_bytes(width, "little") for m in masks]), dtype=np.uint8)
+    bits = np.unpackbits(rows.reshape(count, width), axis=1, count=size, bitorder="little")
+    contain = [int.from_bytes(row.tobytes(), "little") for row in np.packbits(bits.T, axis=1, bitorder="little")]
+    everyone = (1 << count) - 1
+    # meets[part]: the AND of contain[k] over the elements k of a layer part
+    meets: dict[int, int] = {}
+
+    def meet(part: int) -> int:
+        sup = meets.get(part)
+        if sup is None:
+            sup = everyone
+            for k in _iter_bits(part):
+                sup &= contain[k]
+            meets[part] = sup
+        return sup
+
+    lows = _layer_masks(n - 1)
     above = []
-    for j, m in enumerate(masks):
+    for x, tops in groups:
+        # the members of a group share every layer below the top
         sup = everyone
-        for k in _iter_bits(m):
-            sup &= contain[k]
-        above.append(sup & ~(1 << j))
+        for low in lows:
+            if x & low:
+                sup &= meet(x & low)
+        above += [sup & meet(top) if top else sup for top in tops]
     covers = []
-    for j, m in enumerate(masks):
-        rest = above[j]
-        for level in levels[m.bit_count() + 1 :]:
-            if not rest:
-                break
-            for c in _iter_bits(rest & level):
-                covers.append((j, c))
-                rest &= ~above[c]
-            rest &= ~level
-    covers.sort()
+    for j, sup in enumerate(above):
+        rest = sup ^ (1 << j)
+        while rest:
+            c = (rest & -rest).bit_length() - 1
+            covers.append((j, c))
+            rest &= ~above[c]
     return ClosedFamily(n, spec, tuple(masks), tuple(covers))

@@ -64,6 +64,11 @@ def universe_size(n: int) -> int:
     return n * (n + 1) // 2
 
 
+def _layer_masks(n: int) -> list[int]:
+    """The masks of layers 1..n: layer k holds the k intervals [a, k], indices k(k-1)/2 .. k(k+1)/2 - 1."""
+    return [((1 << k) - 1) << k * (k - 1) // 2 for k in range(1, n + 1)]
+
+
 def interval_from_index(k: int) -> Interval:
     """Inverse of ``Interval.index``."""
     if k < 0:

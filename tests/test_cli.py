@@ -12,8 +12,8 @@ import pytest
 import intervalcat.cli as cli
 from intervalcat.cli import main
 from intervalcat.closure import ClosureSpec
-from intervalcat.counting import closed_masks, count_next_closure
-from intervalcat.intervals import interval_from_index, universe_size
+from intervalcat.counting import closed_masks, count_next_closure, lattice
+from intervalcat.intervals import _iter_bits, all_intervals, interval_from_index, universe_size
 
 from helpers import all_specs
 
@@ -230,6 +230,24 @@ def test_lattice_json_matches_count(capsys):
     assert len(doc["members"]) == 5
     code, out, _ = run(capsys, "count", "--n", "2", "--ops", "CKE")
     assert int(out) == 5
+
+
+def test_lattice_writers_equal_reference_all_specs(capsys):
+    # the hand-written JSON is json.dumps with sorted keys, and the DOT its plain line-by-line form
+    for s in all_specs():
+        for n in range(1, 5):
+            ops = str(s) or "none"
+            fam = lattice(n, s)
+            members = [list(_iter_bits(m)) for m in fam.members]
+            doc = {"n": n, "ops": str(s), "members": members, "covers": [list(c) for c in fam.covers]}
+            _, out, _ = run(capsys, "lattice", "--n", str(n), "--ops", ops, "--format", "json")
+            assert out == json.dumps(doc, sort_keys=True) + "\n", (ops, n)
+            names = [str(iv) for iv in all_intervals(n)]
+            lines = ["digraph closed_sets {", "  rankdir=BT;"]
+            lines += [f'  n{i} [label="{{{",".join(names[k] for k in m)}}}"];' for i, m in enumerate(members)]
+            lines += [f"  n{lo} -> n{hi};" for lo, hi in fam.covers]
+            _, out, _ = run(capsys, "lattice", "--n", str(n), "--ops", ops)
+            assert out == "\n".join(lines + ["}"]) + "\n", (ops, n)
 
 
 def test_lattice_walks_the_sets_of_list_all_specs(capsys):

@@ -5,9 +5,11 @@ from __future__ import annotations
 import json
 import random
 
+import numpy as np
 import pytest
 
 import intervalcat.counting as counting
+from intervalcat.cli import main
 from intervalcat.closure import ClosureSpec, build_table
 from intervalcat.counting import (
     _layer_family,
@@ -398,25 +400,39 @@ class TestLattice:
                 )
                 assert not between
 
+    def test_lectic_order_extends_inclusion_all_specs(self):
+        # the cover search reads the members above each one in index order
+        for n in range(1, 5):
+            for s in all_specs():
+                members = np.array(list(counting.closed_masks(n, s)), dtype=np.int64)
+                for i, m in enumerate(members):
+                    assert not np.any(members[i + 1 :] & ~m == 0), (n, str(s), i)
+
     def test_covers_equal_pairwise_reference_all_specs(self):
-        for n in (1, 2, 3):
+        # n = 4 only for the specs with at most 120 members: the reference is cubic
+        for n in range(1, 5):
             for s in all_specs():
                 fam = lattice(n, s)
+                if n == 4 and len(fam.members) > 120:
+                    continue
                 assert fam.covers == hasse_covers(list(fam.members)), (n, str(s))
 
     def test_cap(self):
         with pytest.raises(CapExceeded):
             lattice(3, spec(""), max_members=10)
 
-    def test_dot_export(self):
-        txt = lattice(1, spec("Q")).to_dot()
+    # the lattice writers live in the ``lattice`` command
+    def test_dot_export(self, capsys):
+        assert main(["lattice", "--n", "1", "--ops", "Q"]) == 0
+        txt = capsys.readouterr().out
         assert txt.startswith("digraph closed_sets {")
         assert 'n0 [label="{}"];' in txt
         assert 'n1 [label="{[1,1]}"];' in txt
         assert "n0 -> n1;" in txt
 
-    def test_json_export(self):
-        doc = lattice(2, spec("CKE")).to_json_dict()
+    def test_json_export(self, capsys):
+        assert main(["lattice", "--n", "2", "--ops", "CKE", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
         assert doc["n"] == 2 and doc["ops"] == "CKE"
         assert len(doc["members"]) == 5
         assert all(isinstance(m, list) for m in doc["members"])
