@@ -1,18 +1,20 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 verification mismatch, 2 validation error,
-3 resource cap exceeded.
+3 resource cap exceeded, 141 standard output closed by its reader (as a
+shell reports a process that SIGPIPE stopped).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from typing import Iterable
 
 from .closure import ClosureSpec, closure
 from .counting import (
-    BRUTE_CAP_BITS,
     LATTICE_CAP,
     closed_groups,
     count_brute,
@@ -43,23 +45,29 @@ def _positive(name: str, value: int) -> int:
     return value
 
 
-def _report_skipped_verification(scope: str, n: int) -> None:
-    print(
-        f"verification skipped{scope}: the subset sweep at n={n} needs {universe_size(n)} bits, "
-        f"cap is {BRUTE_CAP_BITS}",
-        file=sys.stderr,
-    )
-
-
-def _cross_check(algorithm: str, n: int, spec: ClosureSpec) -> tuple[str, int]:
-    """The cross-check count for ``algorithm``, with the name of the algorithm giving it.
+def _verify(algorithm: str, spec: ClosureSpec, terms: Iterable[tuple[int, int]], row: bool) -> int:
+    """Cross-check each (n, count) of ``terms``: 1 at the first mismatch, else 0.
 
     The subset sweep checks the layer transfer and the enumeration; the
-    sweep itself is checked against the enumeration.
+    sweep itself is checked against the enumeration.  Past its bit cap the
+    sweep raises ``CapExceeded``, and the check ends with one line saying
+    it was skipped, as every larger n is past the cap too.  ``row`` names
+    n in the lines, as the rows of ``sequence`` need.
     """
-    if algorithm == "brute":
-        return "next-closure", count_next_closure(n, spec)
-    return "brute", count_brute(n, spec)
+    for n, count in terms:
+        try:
+            if algorithm == "brute":
+                other, reference = "next-closure", count_next_closure(n, spec)
+            else:
+                other, reference = "brute", count_brute(n, spec)
+        except CapExceeded as exc:
+            print(f"verification skipped{f' for n >= {n}' if row else ''}: {exc}", file=sys.stderr)
+            return 0
+        if reference != count:
+            where = f" at n={n}" if row else ""
+            print(f"verification failed{where}: {count} from {algorithm}, {reference} from {other}", file=sys.stderr)
+            return 1
+    return 0
 
 
 def cmd_count(args: argparse.Namespace) -> int:
@@ -71,49 +79,46 @@ def cmd_count(args: argparse.Namespace) -> int:
         count = count_next_closure(n, spec)
     else:
         count = count_layers(n, spec)
-    if args.verify and universe_size(n) > BRUTE_CAP_BITS:
-        _report_skipped_verification("", n)
-    elif args.verify:
-        other, reference = _cross_check(args.algorithm, n, spec)
-        if reference != count:
-            print(f"verification failed: {count} from {args.algorithm}, {reference} from {other}", file=sys.stderr)
-            return 1
+    if args.verify and _verify(args.algorithm, spec, [(n, count)], row=False):
+        return 1
     print(count)
     return 0
 
 
 def cmd_sequence(args: argparse.Namespace) -> int:
+    """Write the counts of n = 1..n_max as a table, csv, JSON or an OEIS b-file.
+
+    ``--compare`` adds the closed form of each term where one is known: a
+    ``ref=`` note on a table line, and the reference and match columns of
+    csv, empty where there is none.
+    """
     spec = ClosureSpec.parse(args.ops)
     n_max = _positive("--n-max", args.n_max)
     if args.compare and args.format not in ("table", "csv"):
         raise ValueError(f"--compare needs --format table or csv; {args.format} output carries no references")
-    report = sequence(spec, n_max, args.algorithm)
-    if args.verify:
-        for n, count in report.terms:
-            if universe_size(n) > BRUTE_CAP_BITS:
-                _report_skipped_verification(f" for n >= {n}", n)
-                break
-            other, reference = _cross_check(args.algorithm, n, spec)
-            if reference != count:
-                print(
-                    f"verification failed at n={n}: {count} from {args.algorithm}, {reference} from {other}",
-                    file=sys.stderr,
-                )
-                return 1
-    if args.format == "csv":
-        sys.stdout.write(report.to_csv(reference=args.compare))
-    elif args.format == "json":
-        print(json.dumps(report.to_json_dict(), sort_keys=True))
+    terms = list(enumerate(sequence(spec, n_max, args.algorithm), start=1))
+    if args.verify and _verify(args.algorithm, spec, terms, row=True):
+        return 1
+    if args.format == "json":
+        doc = {"ops": str(spec), "algorithm": args.algorithm, "terms": [{"n": n, "count": c} for n, c in terms]}
+        lines = [json.dumps(doc, sort_keys=True)]
     elif args.format == "oeis":
-        sys.stdout.write(report.to_bfile())
-    else:
-        for n, count in report.terms:
-            line = f"{n:>3} {count}"
+        lines = [f"{n} {count}" for n, count in terms]
+    elif args.format == "csv":
+        lines = ["n,count,reference,match" if args.compare else "n,count"]
+        for n, count in terms:
             if args.compare:
                 ref = reference_sequence(spec, n)
-                if ref is not None:
-                    line += f"  ref={ref} {'ok' if ref == count else 'MISMATCH'}"
-            print(line)
+                lines.append(f"{n},{count},," if ref is None else f"{n},{count},{ref},{str(ref == count).lower()}")
+            else:
+                lines.append(f"{n},{count}")
+    else:
+        lines = []
+        for n, count in terms:
+            ref = reference_sequence(spec, n) if args.compare else None
+            note = "" if ref is None else f"  ref={ref} {'ok' if ref == count else 'MISMATCH'}"
+            lines.append(f"{n:>3} {count}{note}")
+    sys.stdout.write("".join(line + "\n" for line in lines))
     return 0
 
 
@@ -321,7 +326,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: exit as SIGPIPE would, and point stdout at
+        # devnull so that the interpreter's final flush writes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -64,11 +64,15 @@ member indices in one pass over the members in lectic order.  That order is
 a linear extension of inclusion, so the lowest-indexed member strictly
 above a set that no cover found so far lies below is itself a cover; no
 member is grouped by size and no cover is sorted.
+
+``sequence`` returns the counts for n = 1..n_max as a tuple of ints, by any
+of the three paths, and ``cli`` writes every format of them.  Only the
+subset sweep knows its bit cap: past it ``count_brute`` raises
+``CapExceeded``, which the CLI's cross-check reports as skipped.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from math import comb, factorial
 from typing import Iterator, Optional
@@ -323,7 +327,7 @@ def count_brute(n: int, spec: ClosureSpec) -> int:
     """
     size = universe_size(n)
     if size > BRUTE_CAP_BITS:
-        raise CapExceeded(f"subset sweep needs {size} bits, cap is {BRUTE_CAP_BITS}")
+        raise CapExceeded(f"the subset sweep at n={n} needs {size} bits, cap is {BRUTE_CAP_BITS}")
     table = build_table(n, spec)
     low = min(size, _LOW_BITS)
     high = size - low
@@ -378,42 +382,11 @@ def reference_sequence(spec: ClosureSpec, n: int) -> Optional[int]:
     return table.get(key)
 
 
-@dataclass(frozen=True)
-class SequenceReport:
-    """Counts of closed sets for n = 1..n_max under one spec."""
+def sequence(spec: ClosureSpec, n_max: int, algorithm: str = "layers") -> tuple[int, ...]:
+    """Counts for n = 1..n_max by "layers", "next-closure" or "brute"; ``cli`` writes them.
 
-    spec: ClosureSpec
-    algorithm: str
-    terms: tuple[tuple[int, int], ...]
-    elapsed: tuple[float, ...]
-
-    def to_json_dict(self) -> dict:
-        terms = [{"n": n, "count": count} for n, count in self.terms]
-        return {"ops": str(self.spec), "algorithm": self.algorithm, "terms": terms}
-
-    def to_csv(self, reference: bool = False) -> str:
-        lines = ["n,count,reference,match" if reference else "n,count"]
-        for n, count in self.terms:
-            if reference:
-                ref = reference_sequence(self.spec, n)
-                lines.append(
-                    f"{n},{count},{'' if ref is None else ref},"
-                    f"{'' if ref is None else str(ref == count).lower()}"
-                )
-            else:
-                lines.append(f"{n},{count}")
-        return "\n".join(lines) + "\n"
-
-    def to_bfile(self) -> str:
-        """OEIS b-file style lines "n count"."""
-        return "".join(f"{n} {count}\n" for n, count in self.terms)
-
-
-def sequence(spec: ClosureSpec, n_max: int, algorithm: str = "layers") -> SequenceReport:
-    """Counts for n = 1..n_max by "layers", "next-closure" or "brute".
-
-    The layer transfer produces every term in one run; its time for a term
-    is the step from the previous level.
+    The layer transfer produces every term in one run; the other two count
+    each n on its own.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
@@ -426,16 +399,11 @@ def sequence(spec: ClosureSpec, n_max: int, algorithm: str = "layers") -> Sequen
     else:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     terms = []
-    elapsed = []
-    t0 = time.perf_counter()
     for n, count in enumerate(counts, start=1):
-        t1 = time.perf_counter()
-        elapsed.append(t1 - t0)
-        t0 = t1
         if count < 2:
             raise AssertionError(f"count {count} below 2 at n={n}: empty and full set are closed")
-        terms.append((n, count))
-    return SequenceReport(spec, algorithm, tuple(terms), tuple(elapsed))
+        terms.append(count)
+    return tuple(terms)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from intervalcat.closure import FLAG_ORDER, ClosureSpec
-from intervalcat.counting import SequenceReport
 from intervalcat.intervals import (
     Interval,
     IntervalSet,
@@ -33,11 +32,6 @@ def all_specs() -> tuple[ClosureSpec, ...]:
     for mask in range(1 << len(FLAG_ORDER)):
         specs.append(ClosureSpec(frozenset(f for i, f in enumerate(FLAG_ORDER) if mask >> i & 1)))
     return tuple(sorted(specs, key=lambda s: (len(s.flags), str(s))))
-
-
-def counts(report: SequenceReport) -> list[int]:
-    """The counts of a sequence report, by n."""
-    return [c for _, c in report.terms]
 
 
 def random_interval(rng: random.Random, n: int) -> Interval:

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -12,7 +14,7 @@ import pytest
 import intervalcat.cli as cli
 from intervalcat.cli import main
 from intervalcat.closure import ClosureSpec
-from intervalcat.counting import closed_masks, count_next_closure, lattice
+from intervalcat.counting import closed_masks, count_next_closure, lattice, reference_sequence
 from intervalcat.intervals import _iter_bits, all_intervals, interval_from_index, universe_size
 
 from helpers import all_specs
@@ -87,9 +89,10 @@ def test_bad_n_exit_2(capsys):
 
 
 def test_brute_cap_exit_3(capsys):
-    code, _, err = run(capsys, "count", "--n", "7", "--ops", "Q", "--algorithm", "brute")
-    assert code == 3
-    assert "cap" in err
+    # the sweep's own message, the one that the verification skip line quotes
+    code, out, err = run(capsys, "count", "--n", "7", "--ops", "Q", "--algorithm", "brute")
+    assert (code, out) == (3, "")
+    assert err == "error: the subset sweep at n=7 needs 28 bits, cap is 24\n"
 
 
 def test_sequence_table_and_compare(capsys):
@@ -139,6 +142,60 @@ def test_sequence_json_echoes_algorithm_name(capsys):
     assert [t["count"] for t in doc["terms"]] == [2, 6, 24]
 
 
+def test_sequence_writers_equal_reference_all_specs(capsys):
+    # every format, written here from the enumeration's counts and the closed forms
+    for s in all_specs():
+        ops = str(s) or "none"
+        terms = [(n, count_next_closure(n, s), reference_sequence(s, n)) for n in range(1, 6)]
+        table = "".join(f"{n:>3} {count}\n" for n, count, _ in terms)
+        compared = "".join(
+            f"{n:>3} {count}" + ("" if ref is None else f"  ref={ref} {'ok' if ref == count else 'MISMATCH'}") + "\n"
+            for n, count, ref in terms
+        )
+        csv = "n,count\n" + "".join(f"{n},{count}\n" for n, count, _ in terms)
+        csv_compared = "n,count,reference,match\n" + "".join(
+            f"{n},{count},,\n" if ref is None else f"{n},{count},{ref},{str(ref == count).lower()}\n"
+            for n, count, ref in terms
+        )
+        doc = {"ops": str(s), "algorithm": "layers", "terms": [{"n": n, "count": count} for n, count, _ in terms]}
+        expected = {
+            ("table",): table,
+            ("table", "--compare"): compared,
+            ("csv",): csv,
+            ("csv", "--compare"): csv_compared,
+            ("json",): json.dumps(doc, sort_keys=True) + "\n",
+            ("oeis",): "".join(f"{n} {count}\n" for n, count, _ in terms),
+        }
+        for (fmt, *compare), want in expected.items():
+            got = run(capsys, "sequence", "--ops", ops, "--n-max", "5", "--format", fmt, *compare)
+            assert got == (0, want, ""), (ops, fmt, compare)
+
+
+@pytest.mark.parametrize("algorithm", ["layers", "next-closure", "brute"])
+def test_count_is_the_last_term_of_sequence(capsys, algorithm):
+    # the two commands dispatch apart; count --n N prints term N of sequence --n-max N
+    for s in all_specs():
+        ops = str(s) or "none"
+        for n in range(1, 5):
+            _, row, _ = run(capsys, "sequence", "--ops", ops, "--n-max", str(n), "--algorithm", algorithm, "--format", "oeis")
+            code, out, err = run(capsys, "count", "--n", str(n), "--ops", ops, "--algorithm", algorithm)
+            assert (code, f"{n} {out}", err) == (0, row.splitlines(keepends=True)[-1], ""), (ops, n)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_closed_stdout_exits_141_quietly(fmt):
+    # the reader goes away after the first bytes: exit as SIGPIPE would, with nothing on stderr
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-m", "intervalcat.cli", "list", "--ops", "E", "--n", "8", "--format", fmt]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (141, b"")
+
+
 def test_list(capsys):
     code, out, _ = run(capsys, "list", "--n", "2", "--ops", "Q")
     assert code == 0
@@ -178,6 +235,9 @@ def test_list_streams_in_batches(monkeypatch):
 
         def write(self, text):
             self.writes.append(text)
+
+        def flush(self):
+            pass
 
     stub = Stdout()
     monkeypatch.setattr(sys, "stdout", stub)
