@@ -72,7 +72,7 @@ generates the two-summand extensions.  No skipped rule is derived from
 itself.
 
 These bounds are what the acceptance suite's oracle certificate relies on:
-for n <= 4 it compares the C and CK closed families with those of Horn
+for n <= 5 it compares the C and CK closed families with those of Horn
 rules read off the GF(2) oracle for every map with one source and at most
 three targets (and, for kernels, at most three sources and one target).
 

@@ -1,5 +1,11 @@
 """Dense GF(2) matrices with bit-packed rows (bit j of rows[i] is entry i,j).
 
+The basis routines (``kernel_basis``, ``left_kernel_basis``,
+``column_space``) return with each basis the positions where it is the
+identity.  A linear system against such a basis is then not solved by a
+second elimination: ``rows_at_units`` and ``columns_at_units`` read the
+solution off those positions and check it by one product.
+
 Which constructions validate their rows:
 
 - ``F2Matrix(nrows, ncols, rows)``, the public constructor, checks the shape,
@@ -16,21 +22,20 @@ Which constructions validate their rows:
     below 2**other.ncols.
   - ``kernel_basis``: bit k is set only for the k-th free column, k below
     the number of basis vectors.
-  - ``left_kernel_basis`` and ``solve_left``: each output row is a row tag
-    shifted down past the ncols data bits, and tags only carry bits for row
-    indices i < nrows.
+  - ``left_kernel_basis``: each output row is a row tag shifted down past
+    the ncols data bits, and tags only carry bits for row indices i < nrows.
   - ``column_space``: the transpose of reduced rows of the transpose, whose
     bits stay below nrows.
-  - ``solve``: each output row is the rhs part of an augmented row shifted
-    down past the ncols data bits, and XORs of rhs rows stay below
-    2**rhs.ncols.
+  - ``rows_at_units``: each output row is a row of rhs, below 2**rhs.ncols.
+  - ``columns_at_units``: output row bit i comes from the i-th unit, i below
+    the number of units.
   - ``block_diag``: each block's rows are shifted by the widths of the
     blocks before it, so they stay below the total width.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 
 class F2Matrix:
@@ -38,18 +43,18 @@ class F2Matrix:
 
     __slots__ = ("nrows", "ncols", "rows")
 
-    def __init__(self, nrows: int, ncols: int, rows: Sequence[int] = ()):
+    def __init__(self, nrows: int, ncols: int, rows: Optional[Sequence[int]] = None):
         if nrows < 0 or ncols < 0:
             raise ValueError(f"bad shape {nrows}x{ncols}")
-        if rows:
+        if rows is None:
+            rows = (0,) * nrows
+        else:
             rows = tuple(rows)
             if len(rows) != nrows:
                 raise ValueError(f"expected {nrows} rows, got {len(rows)}")
-            if min(rows) < 0 or max(rows) >> ncols:
+            if rows and (min(rows) < 0 or max(rows) >> ncols):
                 bad = next(r for r in rows if r < 0 or r >> ncols)
                 raise ValueError(f"row {bad:#x} out of range for {ncols} columns")
-        else:
-            rows = (0,) * nrows
         _set_nrows(self, nrows)
         _set_ncols(self, ncols)
         _set_rows(self, rows)
@@ -122,79 +127,60 @@ class F2Matrix:
     def rank(self) -> int:
         return rank_of_rows(self.rows, self.ncols)
 
-    def kernel_basis(self) -> "F2Matrix":
-        """Matrix whose columns span the right null space {x : self @ x = 0}."""
-        reduced, pivots = _eliminate(list(self.rows), self.ncols)
-        pivot_set = set(pivots)
-        rows = [0] * self.ncols
-        k = 0
-        for f in range(self.ncols):
-            if f in pivot_set:
-                continue
-            bit = 1 << k
-            rows[f] |= bit
-            for row_idx, p in enumerate(pivots):
-                if (reduced[row_idx] >> f) & 1:
-                    rows[p] |= bit
-            k += 1
-        return F2Matrix._new(self.ncols, k, tuple(rows))
+    def kernel_basis(self) -> tuple["F2Matrix", tuple[int, ...]]:
+        """Columns spanning the right null space {x : self @ x = 0}, and the free columns.
 
-    def left_kernel_basis(self) -> "F2Matrix":
-        """Matrix whose rows span the left null space {y : y @ self = 0}.
+        Row ``free[k]`` of the basis is 1 << k, so the basis is the identity
+        on the free rows (see ``rows_at_units``).
+        """
+        ncols = self.ncols
+        reduced, pivots = _eliminate(list(self.rows), ncols)
+        rows = [0] * ncols
+        free = []
+        for f in range(ncols):
+            if f in pivots:
+                continue
+            bit = 1 << len(free)
+            rows[f] = bit
+            for r, p in zip(reduced, pivots):
+                if r >> f & 1:
+                    rows[p] |= bit
+            free.append(f)
+        return F2Matrix._new(ncols, len(free), tuple(rows)), tuple(free)
+
+    def left_kernel_basis(self) -> tuple["F2Matrix", tuple[int, ...]]:
+        """Rows spanning the left null space {y : y @ self = 0}, and their unit columns.
 
         Row i is tagged with bit ncols + i; after elimination on the first
         ncols bits the rows without data bits carry the combinations of the
-        rows of self that vanish.
+        rows of self that vanish.  Every row that becomes a pivot takes the
+        tag bit of one original row with it, and the tags of pivot rows
+        touch only those bits.  So each left-kernel row holds exactly one
+        untouched bit, its own row's, and no other left-kernel row holds
+        it: column ``units[i]`` of the basis is the unit vector e_i (see
+        ``columns_at_units``).
         """
         width = self.ncols
         reduced, pivots = _eliminate(_tagged(self.rows, width), width)
-        return F2Matrix._new(
-            self.nrows - len(pivots),
-            self.nrows,
-            tuple(r >> width for r in reduced[len(pivots):]),
-        )
+        rank = len(pivots)
+        touched = 0
+        for r in reduced[:rank]:
+            touched |= r
+        rows, units = [], []
+        for r in reduced[rank:]:
+            rows.append(r >> width)
+            units.append((r & ~touched).bit_length() - 1 - width)
+        return F2Matrix._new(self.nrows - rank, self.nrows, tuple(rows)), tuple(units)
 
-    def column_space(self) -> "F2Matrix":
-        """Matrix whose columns are a basis of the column span."""
+    def column_space(self) -> tuple["F2Matrix", tuple[int, ...]]:
+        """Columns forming a basis of the column span, and their pivot rows.
+
+        The basis is the transpose of the reduced rows of the transpose, so
+        row ``pivots[i]`` of it is 1 << i (see ``rows_at_units``).
+        """
         reduced, pivots = _eliminate(list(self.transpose().rows), self.nrows)
-        return F2Matrix._new(len(pivots), self.nrows, tuple(reduced[: len(pivots)])).transpose()
-
-    def solve(self, rhs: "F2Matrix") -> "F2Matrix":
-        """A particular X with self @ X = rhs; raises ValueError if inconsistent."""
-        if rhs.nrows != self.nrows:
-            raise ValueError(f"rhs has {rhs.nrows} rows, expected {self.nrows}")
-        width = self.ncols
-        aug = [self.rows[i] | (rhs.rows[i] << width) for i in range(self.nrows)]
-        reduced, pivots = _eliminate(aug, width)
-        for i in range(len(pivots), self.nrows):
-            if reduced[i] >> width:
-                raise ValueError("inconsistent linear system")
-        xrows = [0] * width
-        for row_idx, p in enumerate(pivots):
-            xrows[p] = reduced[row_idx] >> width
-        return F2Matrix._new(width, rhs.ncols, tuple(xrows))
-
-    def solve_left(self, rhs: "F2Matrix") -> "F2Matrix":
-        """A particular X with X @ self = rhs; raises ValueError if inconsistent.
-
-        Each rhs row is reduced by the tagged pivot rows of self (see
-        ``left_kernel_basis``); the tag it picks up is its row of X.
-        """
-        if rhs.ncols != self.ncols:
-            raise ValueError(f"rhs has {rhs.ncols} columns, expected {self.ncols}")
-        width = self.ncols
-        reduced, pivots = _eliminate(_tagged(self.rows, width), width)
-        pivot_rows = [(1 << p, reduced[i]) for i, p in enumerate(pivots)]
-        low = (1 << width) - 1
-        xrows = []
-        for y in rhs.rows:
-            for bit, row in pivot_rows:
-                if y & bit:
-                    y ^= row
-            if y & low:
-                raise ValueError("inconsistent linear system")
-            xrows.append(y >> width)
-        return F2Matrix._new(rhs.nrows, self.nrows, tuple(xrows))
+        rank = len(pivots)
+        return F2Matrix._new(rank, self.nrows, tuple(reduced[:rank])).transpose(), tuple(pivots)
 
 
 # Slot setters that bypass the immutability guard of __setattr__; only
@@ -243,6 +229,43 @@ def mul_rows(left: Sequence[int], right: Sequence[int]) -> list[int]:
             r ^= low
         out.append(acc)
     return out
+
+
+def rows_at_units(basis: F2Matrix, units: Sequence[int], rhs: F2Matrix) -> F2Matrix:
+    """The X with basis @ X = rhs, for a basis whose row ``units[i]`` is 1 << i.
+
+    Row ``units[i]`` of basis @ X is row i of X, so X is read off as the
+    rows of rhs at the units; one product checks it and raises ValueError
+    when rhs is not in the column span of the basis.
+    """
+    if rhs.nrows != basis.nrows:
+        raise ValueError(f"rhs has {rhs.nrows} rows, expected {basis.nrows}")
+    x = [rhs.rows[u] for u in units]
+    if mul_rows(basis.rows, x) != list(rhs.rows):
+        raise ValueError("inconsistent linear system")
+    return F2Matrix._new(len(units), rhs.ncols, tuple(x))
+
+
+def columns_at_units(basis: F2Matrix, units: Sequence[int], rhs: F2Matrix) -> F2Matrix:
+    """The X with X @ basis = rhs, for a basis whose column ``units[i]`` is e_i.
+
+    Column ``units[i]`` of X @ basis is column i of X, so X is read off as
+    the columns of rhs at the units; one product checks it and raises
+    ValueError when rhs is not in the row span of the basis.
+    """
+    if rhs.ncols != basis.ncols:
+        raise ValueError(f"rhs has {rhs.ncols} columns, expected {basis.ncols}")
+    picks = [(1 << u, 1 << i) for i, u in enumerate(units)]
+    x = []
+    for r in rhs.rows:
+        acc = 0
+        for unit, bit in picks:
+            if r & unit:
+                acc |= bit
+        x.append(acc)
+    if mul_rows(x, basis.rows) != list(rhs.rows):
+        raise ValueError("inconsistent linear system")
+    return F2Matrix._new(rhs.nrows, len(units), tuple(x))
 
 
 def rank_of_rows(rows: Iterable[int], ncols: int) -> int:

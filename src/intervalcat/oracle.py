@@ -13,9 +13,37 @@ and shares it between all morphisms of those summands, which is most of
 what sweeping every coefficient pattern costs otherwise.  Sharing is safe
 because representations and matrices are immutable; the blocks, the
 coefficient checks and the commutation check of ``RepMorphism`` are still
-done for every morphism.  The commutation check and the composite ranks of
-``barcode`` multiply bit-packed row lists (``gf2.mul_rows``) instead of
-building a matrix for every product.
+done for every morphism.  The commutation check and ``barcode`` multiply
+bit-packed row lists (``gf2.mul_rows``) instead of building a matrix for
+every product.
+
+One elimination per vertex.  The basis routines of ``gf2`` hand over the
+positions where their basis is the identity: the free rows of a kernel
+basis, the unit columns of a left-kernel basis, the pivot rows of a
+column-space basis.  ``kernel_rep``, ``cokernel_rep``, ``image_rep`` and
+``generated_submodule`` eliminate each block once and read every induced
+arrow map off those positions of the arrow composed with the neighbouring
+basis (``gf2.rows_at_units``, ``gf2.columns_at_units``).  One product of
+the basis with the map read off checks it against that composite; it fails,
+with ValueError("inconsistent linear system"), exactly when the arrow does
+not carry the subspace into the subspace, or the quotient onto the
+quotient, which can happen only when the blocks do not commute.
+
+One pass up the arrows for ``barcode`` (the elder rule of persistence:
+Zomorodian and Carlsson, DCG 2005; the decomposition is Crawley-Boevey's,
+J. Algebra Appl. 2015).  Row i of ``maps[k]`` is the image of the i-th
+dual basis vector of M(k+1) in the dual of M(k+2), so a transposed arrow
+is applied by ``gf2.mul_rows``.  At vertex v the pass holds a basis of the
+dual of M(v), in birth order, each vector with the vertex where it was
+born.  At the arrow to v + 1 it reduces their images in that order: an
+image that reduces to 0 closes the bar [birth, v], the others stay live,
+and the unit vectors at the positions that no live image has as its lowest
+bit are born at v + 1.  Invariant: for a <= v the live vectors with
+birth <= a span the image of the dual of M(a) in the dual of M(v), whose
+dimension is the rank of M(v) -> M(a).  Reduction in birth order keeps
+this for every a across an arrow, and the live vectors stay independent,
+so the bars counted here are those that the inclusion-exclusion of
+composite ranks gives.  The bars must still add up to ``dims``.
 """
 
 from __future__ import annotations
@@ -24,7 +52,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
-from .gf2 import F2Matrix, block_diag, mul_rows, rank_of_rows
+from .gf2 import F2Matrix, block_diag, columns_at_units, mul_rows, rank_of_rows, rows_at_units
 from .intervals import Interval, hom_dim
 
 
@@ -164,10 +192,10 @@ def morphism_between_sums(
     tgt, tgt_pos = _shared_sum(targets, n)
     rows = [[0] * d for d in tgt.dims]
     for (i, j), c in coeffs.items():
-        if not c & 1:
-            continue
         if not (0 <= i < len(sources) and 0 <= j < len(targets)):
             raise ValueError(f"coefficient index {(i, j)} out of range")
+        if not c & 1:
+            continue
         x, y = sources[i], targets[j]
         if not hom_dim(x, y):
             raise ValueError(f"hom space {x} -> {y} is zero")
@@ -207,75 +235,86 @@ def canonical_morphism(source: Interval, target: Interval, n: int) -> RepMorphis
     return morphism_between_sums(n, [source], [target], {(0, 0): 1})
 
 
+def _subrepresentation(ambient: Representation, bases: Sequence[tuple[F2Matrix, tuple[int, ...]]]) -> Representation:
+    """The subrepresentation spanned at each vertex by the columns of a basis.
+
+    ``bases[v]`` is a (basis, units) pair whose basis is the identity on its
+    rows at the units, so each induced arrow map is read off those rows of
+    the ambient arrow applied to the next basis (module docstring).
+    """
+    maps = tuple(
+        rows_at_units(*bases[k], ambient.maps[k] @ bases[k + 1][0]) for k in range(ambient.n - 1)
+    )
+    return Representation(ambient.n, tuple(incl.ncols for incl, _ in bases), maps)
+
+
 def kernel_rep(f: RepMorphism) -> Representation:
     """Vertexwise kernel with the induced arrow maps."""
-    incls = [f.blocks[v].kernel_basis() for v in range(f.n)]
-    dims = tuple(m.ncols for m in incls)
-    maps = []
-    for k in range(f.n - 1):
-        rhs = f.source.maps[k] @ incls[k + 1]
-        maps.append(incls[k].solve(rhs))
-    return Representation(f.n, dims, tuple(maps))
+    return _subrepresentation(f.source, [f.blocks[v].kernel_basis() for v in range(f.n)])
 
 
 def cokernel_rep(f: RepMorphism) -> Representation:
-    """Vertexwise cokernel with the induced arrow maps."""
-    projs = [f.blocks[v].left_kernel_basis() for v in range(f.n)]
-    dims = tuple(p.nrows for p in projs)
-    maps = []
-    for k in range(f.n - 1):
-        rhs = projs[k] @ f.target.maps[k]
-        maps.append(projs[k + 1].solve_left(rhs))
-    return Representation(f.n, dims, tuple(maps))
+    """Vertexwise cokernel with the induced arrow maps.
+
+    Each left-kernel basis is the identity on its unit columns, so the
+    induced map is read off the previous basis applied to the target arrow
+    (module docstring).
+    """
+    bases = [f.blocks[v].left_kernel_basis() for v in range(f.n)]
+    maps = tuple(
+        columns_at_units(*bases[k + 1], bases[k][0] @ f.target.maps[k]) for k in range(f.n - 1)
+    )
+    return Representation(f.n, tuple(proj.nrows for proj, _ in bases), maps)
 
 
 def image_rep(f: RepMorphism) -> Representation:
     """Vertexwise image with the induced arrow maps."""
-    incls = [f.blocks[v].column_space() for v in range(f.n)]
-    dims = tuple(m.ncols for m in incls)
-    maps = []
-    for k in range(f.n - 1):
-        rhs = f.target.maps[k] @ incls[k + 1]
-        maps.append(incls[k].solve(rhs))
-    return Representation(f.n, dims, tuple(maps))
+    return _subrepresentation(f.target, [f.blocks[v].column_space() for v in range(f.n)])
 
 
 def barcode(rep: Representation) -> tuple[Interval, ...]:
     """Multiset of intervals in the indecomposable decomposition.
 
-    The multiplicity of [a, b] is recovered from ranks of composite maps by
-    inclusion-exclusion: bars containing [a, b] minus those sticking out on
-    either side.
+    One pass up the transposed arrows (module docstring): a live vector at
+    v that the arrow to v + 1 sends into the span of its elders closes the
+    bar [birth, v].
     """
-    n = rep.n
-    # rank[a][b] is the rank of the composite M(b) -> M(a), computed on row
-    # lists.  Row 0 and column n + 1 stay 0, so the formula needs no edge
-    # cases, and a composite of rank 0 stays 0 further down.
-    rank = [[0] * (n + 2) for _ in range(n + 1)]
-    for b in range(1, n + 1):
-        width = rep.dims[b - 1]
-        cur = [1 << i for i in range(width)]
-        rank[b][b] = width
-        for a in range(b - 1, 0, -1):
-            if not rank[a + 1][b]:
-                break
-            cur = mul_rows(rep.maps[a - 1].rows, cur)
-            rank[a][b] = rank_of_rows(cur, width)
-    out = []
+    n, dims = rep.n, rep.dims
+    # A basis of the dual space at the current vertex, in birth order, and
+    # the vertex where each of its vectors was born.
+    vecs = [1 << i for i in range(dims[0])]
+    births = [1] * dims[0]
+    bars = []  # (end, start) pairs
+    for v in range(1, n):
+        pivots: dict[int, int] = {}  # live images at v + 1 by lowest bit
+        next_vecs, next_births = [], []
+        for birth, x in zip(births, mul_rows(vecs, rep.maps[v - 1].rows)):
+            while x:
+                low = x & -x
+                p = pivots.get(low)
+                if p is None:
+                    pivots[low] = x
+                    next_vecs.append(x)
+                    next_births.append(birth)
+                    break
+                x ^= p
+            else:
+                bars.append((v, birth))
+        for i in range(dims[v]):
+            if 1 << i not in pivots:
+                next_vecs.append(1 << i)
+                next_births.append(v + 1)
+        vecs, births = next_vecs, next_births
+    bars.extend((n, birth) for birth in births)
+    # Sorted by (end, start), the bars come out in Interval order.
+    bars.sort()
     check = [0] * n
-    # b outer, a inner: the bars come out in Interval order.
-    for b in range(1, n + 1):
-        for a in range(1, b + 1):
-            mult = rank[a][b] - rank[a - 1][b] - rank[a][b + 1] + rank[a - 1][b + 1]
-            if mult < 0:
-                raise AssertionError(f"negative multiplicity at [{a},{b}] in {rep.debug_text()}")
-            if mult:
-                out.extend([Interval(a, b)] * mult)
-                for v in range(a - 1, b):
-                    check[v] += mult
-    if tuple(check) != rep.dims:
+    for b, a in bars:
+        for v in range(a - 1, b):
+            check[v] += 1
+    if tuple(check) != dims:
         raise AssertionError(f"barcode does not add up to dims in {rep.debug_text()}")
-    return tuple(out)
+    return tuple([Interval(a, b) for b, a in bars])
 
 
 def hom_space_dim(x_rep: Representation, y_rep: Representation) -> int:
@@ -354,16 +393,10 @@ def generated_submodule(rep: Representation, generators: Iterable[tuple[int, int
         m = rep.maps[v - 1]
         for vec in buckets[v]:
             buckets[v - 1].append(m.mat_vec(vec))
-    incls = []
-    for v in range(n):
-        span = F2Matrix(len(buckets[v]), rep.dims[v], buckets[v]).transpose().column_space()
-        incls.append(span)
-    dims = tuple(m.ncols for m in incls)
-    maps = []
-    for k in range(n - 1):
-        maps.append(incls[k].solve(rep.maps[k] @ incls[k + 1]))
-    sub = Representation(n, dims, tuple(maps))
-    return RepMorphism(sub, rep, tuple(incls))
+    bases = [
+        F2Matrix(len(buckets[v]), rep.dims[v], buckets[v]).transpose().column_space() for v in range(n)
+    ]
+    return RepMorphism(_subrepresentation(rep, bases), rep, tuple(incl for incl, _ in bases))
 
 
 def _support_candidate(x: Interval, n: int, chosen: int) -> tuple[Representation, tuple[F2Matrix, ...]]:

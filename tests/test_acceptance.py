@@ -167,7 +167,7 @@ def test_criterion_4_oracle_equivalence():
 
     rng = random.Random(2024)
     c_spec = ClosureSpec.parse("C")
-    for n in range(1, 5):
+    for n in range(1, 6):
         pool = all_intervals(n)
         for _ in range(1000):
             srcs = random_sum_members(rng, pool, 3)
@@ -246,18 +246,18 @@ def test_criterion_8_length_bookkeeping():
 
 
 def test_criterion_9_oracle_certificate():
-    """The C and CK closed families equal those of oracle-only Horn rules, n <= 4.
+    """The C and CK closed families equal those of oracle-only Horn rules, n <= 5.
 
     The rules come from every GF(2) map with one source and at most three
     targets (cokernels) or at most three sources and one target (kernels);
     the closure module docstring explains why these bounds lose nothing for
     n <= 6.  Whole families are compared, not just their sizes.
     """
-    for n in range(1, 5):
+    for n in range(1, 6):
         cok = oracle_horn_rules(n, cokernel_rep, max_sources=1, max_targets=3)
         ker = oracle_horn_rules(n, kernel_rep, max_sources=3, max_targets=1)
         for ops, rules in (("C", (cok,)), ("CK", (cok, ker))):
             want = closed_masks(n, *rules)
             got = {s.mask for s in iter_closed_sets(n, ClosureSpec.parse(ops))}
             assert got == want, (ops, n, sorted(got ^ want))
-    _report("criterion 9, C and CK families equal oracle-rule families at n <= 4", True)
+    _report("criterion 9, C and CK families equal oracle-rule families at n <= 5", True)

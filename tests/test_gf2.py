@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from intervalcat.gf2 import F2Matrix, block_diag, rank_of_rows
+from intervalcat.gf2 import F2Matrix, block_diag, columns_at_units, rank_of_rows, rows_at_units
 
 
 def test_rank_examples():
@@ -33,6 +33,10 @@ def test_constructor_validation():
         F2Matrix(3, 2, (4, 1, 8))
     with pytest.raises(ValueError, match="expected 2 rows, got 3"):
         F2Matrix(2, 3, (1, 2, 3))
+    with pytest.raises(ValueError, match="expected 2 rows, got 0"):
+        F2Matrix(2, 3, [])
+    assert F2Matrix(0, 3, []).shape == (0, 3)
+    assert F2Matrix(2, 3) == F2Matrix.zeros(2, 3) == F2Matrix(2, 3, [0, 0])
     m = F2Matrix.identity(2)
     for name in ("nrows", "ncols", "rows", "other"):
         with pytest.raises(AttributeError):
@@ -63,11 +67,12 @@ def test_kernel_basis_spans_nullspace():
     for _ in range(100):
         m, k = rng.randint(0, 6), rng.randint(0, 6)
         a = F2Matrix(m, k, [rng.getrandbits(k) for _ in range(m)])
-        ns = a.kernel_basis()
-        assert ns.ncols == k - a.rank()
+        ns, free = a.kernel_basis()
+        assert ns.ncols == k - a.rank() == len(free)
         prod = a @ ns
         assert all(r == 0 for r in prod.rows)
         assert ns.rank() == ns.ncols
+        assert [ns.rows[f] for f in free] == [1 << i for i in range(len(free))]
 
 
 def test_left_kernel_and_column_space():
@@ -75,31 +80,69 @@ def test_left_kernel_and_column_space():
     for _ in range(100):
         m, k = rng.randint(0, 6), rng.randint(0, 6)
         a = F2Matrix(m, k, [rng.getrandbits(k) for _ in range(m)])
-        lk = a.left_kernel_basis()
+        lk, units = a.left_kernel_basis()
         assert lk.shape == (m - a.rank(), m)
         assert lk.rank() == lk.nrows
         assert all(r == 0 for r in (lk @ a).rows)
-        cs = a.column_space()
+        # column units[i] of the left kernel is the unit vector e_i
+        cols = lk.transpose().rows
+        assert [cols[u] for u in units] == [1 << i for i in range(lk.nrows)]
+        cs, pivots = a.column_space()
         assert cs.ncols == a.rank()
         assert cs.rank() == a.rank()
+        assert rank_of_rows(a.transpose().rows + cs.transpose().rows, m) == a.rank()
+        assert [cs.rows[p] for p in pivots] == [1 << i for i in range(cs.ncols)]
 
 
-def test_solve_roundtrip():
+def _random_matrix(rng, nrows, ncols):
+    return F2Matrix(nrows, ncols, [rng.getrandbits(ncols) for _ in range(nrows)])
+
+
+def _outside(rows, width):
+    """A unit vector of the given width outside the span of rows, or None."""
+    rank = rank_of_rows(rows, width)
+    return next((1 << j for j in range(width) if rank_of_rows(tuple(rows) + (1 << j,), width) > rank), None)
+
+
+def test_rows_at_units_solves_against_a_basis():
     rng = random.Random(17)
-    for _ in range(100):
-        m, k, q = rng.randint(0, 5), rng.randint(0, 5), rng.randint(0, 4)
-        a = F2Matrix(m, k, [rng.getrandbits(k) for _ in range(m)])
-        x = F2Matrix(k, q, [rng.getrandbits(q) for _ in range(k)])
-        rhs = a @ x
-        got = a.solve(rhs)
-        assert a @ got == rhs
+    for trial in range(300):
+        m, k, q = rng.randint(0, 6), rng.randint(0, 6), rng.randint(0, 4)
+        if trial < 20:
+            m, k = (0, k) if trial % 2 else (m, 0)
+        a = _random_matrix(rng, m, k)
+        for basis, units in (a.kernel_basis(), a.column_space()):
+            x = _random_matrix(rng, basis.ncols, q)
+            rhs = basis @ x
+            assert rows_at_units(basis, units, rhs) == x
+            # a right-hand side with a column outside the span is refused
+            outside = _outside(basis.transpose().rows, basis.nrows)
+            if outside is not None:
+                bad = F2Matrix(basis.nrows, q + 1, [r | ((outside >> i) & 1) << q for i, r in enumerate(rhs.rows)])
+                with pytest.raises(ValueError, match="inconsistent"):
+                    rows_at_units(basis, units, bad)
+            with pytest.raises(ValueError, match=f"rhs has {basis.nrows + 1} rows"):
+                rows_at_units(basis, units, F2Matrix.zeros(basis.nrows + 1, q))
 
 
-def test_solve_inconsistent():
-    a = F2Matrix.zeros(2, 2)
-    rhs = F2Matrix(2, 2, (0b01, 0b00))
-    with pytest.raises(ValueError):
-        a.solve(rhs)
+def test_columns_at_units_solves_against_a_basis():
+    rng = random.Random(31)
+    for trial in range(300):
+        m, k, q = rng.randint(0, 6), rng.randint(0, 6), rng.randint(0, 6)
+        if trial < 20:
+            m, k = (0, k) if trial % 2 else (m, 0)
+        a = _random_matrix(rng, m, k)
+        basis, units = a.left_kernel_basis()
+        x = _random_matrix(rng, q, basis.nrows)
+        rhs = x @ basis
+        assert columns_at_units(basis, units, rhs) == x
+        # a right-hand side with a row outside the span is refused
+        outside = _outside(basis.rows, m)
+        if outside is not None:
+            with pytest.raises(ValueError, match="inconsistent"):
+                columns_at_units(basis, units, F2Matrix(q + 1, m, rhs.rows + (outside,)))
+        with pytest.raises(ValueError, match="rhs has 7 columns"):
+            columns_at_units(basis, units, F2Matrix.zeros(q, 7))
 
 
 def test_mat_vec_matches_matmul():
@@ -116,10 +159,6 @@ def test_transpose_involution():
     a = F2Matrix(2, 3, (0b101, 0b110))
     assert a.transpose().transpose() == a
     assert a.transpose().shape == (3, 2)
-
-
-def _random_matrix(rng, nrows, ncols):
-    return F2Matrix(nrows, ncols, [rng.getrandbits(ncols) for _ in range(nrows)])
 
 
 def test_unchecked_results_are_valid():
@@ -139,28 +178,11 @@ def test_unchecked_results_are_valid():
         checked(F2Matrix.identity(k))
         checked(a.transpose())
         checked(a @ _random_matrix(rng, k, q))
-        checked(a.kernel_basis())
-        checked(a.left_kernel_basis())
-        checked(a.column_space())
-        checked(a.solve(a @ _random_matrix(rng, k, q)))
-        checked(a.solve_left(_random_matrix(rng, q, m) @ a))
+        for basis, units in (a.kernel_basis(), a.column_space()):
+            checked(basis)
+            checked(rows_at_units(basis, units, basis @ _random_matrix(rng, basis.ncols, q)))
+        basis, units = a.left_kernel_basis()
+        checked(basis)
+        checked(columns_at_units(basis, units, _random_matrix(rng, q, basis.nrows) @ basis))
         checked(block_diag([a, _random_matrix(rng, q, m), F2Matrix.zeros(k, 0)]))
     checked(block_diag([]))
-
-
-def test_solve_left_matches_definition():
-    rng = random.Random(31)
-    for trial in range(300):
-        m, k, q = rng.randint(0, 6), rng.randint(0, 6), rng.randint(0, 6)
-        if trial < 20:
-            m, k = (0, k) if trial % 2 else (m, 0)
-        a = _random_matrix(rng, m, k)
-        rhs = _random_matrix(rng, q, m) @ a
-        assert a.solve_left(rhs) @ a == rhs
-        rank = a.rank()
-        outside = next((1 << j for j in range(k) if rank_of_rows(a.rows + (1 << j,), k) > rank), None)
-        if outside is not None:
-            with pytest.raises(ValueError, match="inconsistent"):
-                a.solve_left(F2Matrix(q + 1, k, rhs.rows + (outside,)))
-        with pytest.raises(ValueError, match="rhs has 7 columns"):
-            a.solve_left(F2Matrix.zeros(q, 7))

@@ -40,7 +40,15 @@ from intervalcat.oracle import (
     zero_rep,
 )
 
-from helpers import random_interval
+from helpers import (
+    barcode_by_ranks,
+    cokernel_bars_by_ranks,
+    kernel_bars_by_ranks,
+    random_interval,
+    random_morphism_coeffs,
+    random_representation,
+    random_sum_members,
+)
 
 
 def test_module_of_dims():
@@ -80,6 +88,48 @@ def test_barcode_additive_over_sums():
             xs = [random_interval(rng, n) for _ in range(rng.randint(0, 4))]
             got = barcode(sum_of(xs, n))
             assert Counter(got) == Counter(xs)
+
+
+def test_barcode_equals_rank_inclusion_exclusion():
+    # One pass up the arrows against the ranks of all composites, each
+    # eliminated on its own, on arbitrary maps rather than sums of intervals.
+    rng = random.Random(41)
+    for n in range(1, 7):
+        for _ in range(400):
+            rep = random_representation(rng, n, 4)
+            assert barcode(rep) == barcode_by_ranks(rep), rep.debug_text()
+
+
+def test_kernel_and_cokernel_bars_from_ranks_alone():
+    # The induced maps read off unit rows and columns give the bars that the
+    # ranks of stacked composites give, with no kernel or cokernel built.
+    rng = random.Random(43)
+    for n in range(1, 6):
+        pool = all_intervals(n)
+        for _ in range(150):
+            srcs = random_sum_members(rng, pool, 3)
+            tgts = random_sum_members(rng, pool, 3)
+            f = morphism_between_sums(n, srcs, tgts, random_morphism_coeffs(rng, srcs, tgts))
+            assert barcode(kernel_rep(f)) == kernel_bars_by_ranks(f), (srcs, tgts)
+            assert barcode(cokernel_rep(f)) == cokernel_bars_by_ranks(f), (srcs, tgts)
+
+
+def test_blocks_that_do_not_commute_are_refused_by_induced_maps():
+    # On two copies of [1, 2], blocks diag(1, 0) and diag(0, 1) do not
+    # commute with the identity arrow: it carries the kernel e1 at vertex 2
+    # out of the kernel e2 at vertex 1, the image e2 out of the image e1,
+    # and does not factor through the cokernels.  Built past the check of
+    # RepMorphism, every induced map read off the unit positions is refused.
+    m = sum_of([Interval(1, 2), Interval(1, 2)], 2)
+    blocks = (F2Matrix(2, 2, (0b01, 0b00)), F2Matrix(2, 2, (0b00, 0b10)))
+    with pytest.raises(ValueError, match="do not commute"):
+        RepMorphism(m, m, blocks)
+    f = object.__new__(RepMorphism)
+    for name, value in (("source", m), ("target", m), ("blocks", blocks)):
+        object.__setattr__(f, name, value)
+    for rep_of in (kernel_rep, cokernel_rep, image_rep):
+        with pytest.raises(ValueError, match="inconsistent linear system"):
+            rep_of(f)
 
 
 def test_hom_space_matches_hom_dim():
@@ -205,6 +255,11 @@ def test_morphism_validation_with_warm_sums():
     for key in ((1, 0), (0, -1)):
         with pytest.raises(ValueError, match="out of range"):
             morphism_between_sums(2, srcs, tgts, {key: 1})
+    # an even coefficient sets nothing, but its index is still checked
+    for key in ((5, 7), (0, 1), (-1, 0)):
+        with pytest.raises(ValueError, match=r"coefficient index .* out of range"):
+            morphism_between_sums(2, srcs, tgts, {key: 0})
+    assert morphism_between_sums(2, srcs, tgts, {(0, 0): 0}) == morphism_between_sums(2, srcs, tgts, {})
     wide = [Interval(1, 3)]
     morphism_between_sums(3, wide, wide, {(0, 0): 1})
     for _ in range(2):
