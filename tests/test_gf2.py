@@ -104,25 +104,42 @@ def _outside(rows, width):
     return next((1 << j for j in range(width) if rank_of_rows(tuple(rows) + (1 << j,), width) > rank), None)
 
 
-def test_rows_at_units_solves_against_a_basis():
-    rng = random.Random(17)
-    for trial in range(300):
-        m, k, q = rng.randint(0, 6), rng.randint(0, 6), rng.randint(0, 4)
+def _bases(rng, trials):
+    """Random kernel and column-space bases with their unit rows, empty shapes first."""
+    for trial in range(trials):
+        m, k = rng.randint(0, 6), rng.randint(0, 6)
         if trial < 20:
             m, k = (0, k) if trial % 2 else (m, 0)
         a = _random_matrix(rng, m, k)
-        for basis, units in (a.kernel_basis(), a.column_space()):
-            x = _random_matrix(rng, basis.ncols, q)
-            rhs = basis @ x
-            assert rows_at_units(basis, units, rhs) == x
-            # a right-hand side with a column outside the span is refused
-            outside = _outside(basis.transpose().rows, basis.nrows)
-            if outside is not None:
-                bad = F2Matrix(basis.nrows, q + 1, [r | ((outside >> i) & 1) << q for i, r in enumerate(rhs.rows)])
-                with pytest.raises(ValueError, match="inconsistent"):
-                    rows_at_units(basis, units, bad)
-            with pytest.raises(ValueError, match=f"rhs has {basis.nrows + 1} rows"):
-                rows_at_units(basis, units, F2Matrix.zeros(basis.nrows + 1, q))
+        yield a.kernel_basis()
+        yield a.column_space()
+
+
+def test_solve_roundtrip():
+    rng = random.Random(17)
+    for basis, units in _bases(rng, 300):
+        x = _random_matrix(rng, basis.ncols, rng.randint(0, 4))
+        rhs = basis @ x
+        assert rows_at_units(basis, units, rhs) == x
+        with pytest.raises(ValueError, match=f"rhs has {basis.nrows + 1} rows"):
+            rows_at_units(basis, units, F2Matrix.zeros(basis.nrows + 1, x.ncols))
+
+
+def test_solve_inconsistent():
+    # the column space of the zero matrix is empty, so no non-zero rhs is in it
+    basis, units = F2Matrix.zeros(2, 2).column_space()
+    with pytest.raises(ValueError, match="inconsistent"):
+        rows_at_units(basis, units, F2Matrix(2, 2, (0b01, 0b00)))
+    rng = random.Random(23)
+    for basis, units in _bases(rng, 300):
+        q = rng.randint(0, 4)
+        rhs = basis @ _random_matrix(rng, basis.ncols, q)
+        # a right-hand side with a column outside the span is refused
+        outside = _outside(basis.transpose().rows, basis.nrows)
+        if outside is not None:
+            bad = F2Matrix(basis.nrows, q + 1, [r | ((outside >> i) & 1) << q for i, r in enumerate(rhs.rows)])
+            with pytest.raises(ValueError, match="inconsistent"):
+                rows_at_units(basis, units, bad)
 
 
 def test_columns_at_units_solves_against_a_basis():
