@@ -29,6 +29,27 @@ with ValueError("inconsistent linear system"), exactly when the arrow does
 not carry the subspace into the subspace, or the quotient onto the
 quotient, which can happen only when the blocks do not commute.
 
+Each distinct block, square and representation is solved once (hash
+consing: Filliatre and Conchon, ML Workshop 2006).  A sweep over many maps
+repeats them: the 13,928 maps at n = 4 with one source and up to three
+targets, or the reverse, have 55,712 blocks but only 19 distinct blocks of
+each kind, 277 distinct kernel and 286 cokernel squares, and 1,203
+distinct kernel and cokernel representations; the 55,790 maps at n = 5
+have the same blocks and squares and 3,883 representations.  So the basis
+of a block is memoized by the block (``_kernel_basis``,
+``_left_kernel_basis``, ``_column_space``), the induced map of a square by
+its block, next block and arrow (``_sub_square``, ``_quotient_square``),
+and ``barcode`` by the representation; the memo sizes are given where they
+are defined.  A hit returns exactly what a miss computes: every key is
+immutable and compared by value (``F2Matrix``, a frozen ``Representation``
+whose dims and maps are tuples), every memoized function is pure, and
+``lru_cache`` stores no exception.  So the product check of a square and
+the dims check of a barcode run on every miss, and a failing input raises
+on every call.  The commutation check of ``RepMorphism`` is not memoized:
+it multiplies lists of at most three rows, and a memo keyed on the four
+matrices of a square took 3.3 times as long as the check itself, since it
+hashes and compares four ``F2Matrix``.
+
 One pass up the arrows for ``barcode`` (the elder rule of persistence:
 Zomorodian and Carlsson, DCG 2005; the decomposition is Crawley-Boevey's,
 J. Algebra Appl. 2015).  Row i of ``maps[k]`` is the image of the i-th
@@ -69,6 +90,10 @@ class Representation:
     maps: tuple[F2Matrix, ...]
 
     def __post_init__(self) -> None:
+        # Stored as tuples, so that a representation built from lists
+        # compares and hashes like one built from tuples.
+        object.__setattr__(self, "dims", tuple(self.dims))
+        object.__setattr__(self, "maps", tuple(self.maps))
         if self.n < 1:
             raise ValueError(f"ambient size must be >= 1, got {self.n}")
         if len(self.dims) != self.n or len(self.maps) != self.n - 1:
@@ -147,6 +172,7 @@ class RepMorphism:
     blocks: tuple[F2Matrix, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "blocks", tuple(self.blocks))
         s, t = self.source, self.target
         if s.n != t.n:
             raise ValueError("source and target live in different ambients")
@@ -235,43 +261,75 @@ def canonical_morphism(source: Interval, target: Interval, n: int) -> RepMorphis
     return morphism_between_sums(n, [source], [target], {(0, 0): 1})
 
 
-def _subrepresentation(ambient: Representation, bases: Sequence[tuple[F2Matrix, tuple[int, ...]]]) -> Representation:
-    """The subrepresentation spanned at each vertex by the columns of a basis.
+# Memos (module docstring).  The n = 4 and n = 5 sweeps have 19 distinct
+# blocks of each kind and 277 and 286 distinct squares, so 1024 and 4096
+# leave room for the random maps of the tests; they have 1,203 and 3,883
+# distinct kernel and cokernel representations, so the 8192 of ``barcode``
+# holds a whole n = 5 sweep.
+_kernel_basis = lru_cache(maxsize=1024)(F2Matrix.kernel_basis)
+_left_kernel_basis = lru_cache(maxsize=1024)(F2Matrix.left_kernel_basis)
+_column_space = lru_cache(maxsize=1024)(F2Matrix.column_space)
 
-    ``bases[v]`` is a (basis, units) pair whose basis is the identity on its
-    rows at the units, so each induced arrow map is read off those rows of
-    the ambient arrow applied to the next basis (module docstring).
+
+@lru_cache(maxsize=4096)
+def _sub_square(basis_of, block: F2Matrix, next_block: F2Matrix, arrow: F2Matrix) -> F2Matrix:
+    """The map that ``arrow`` induces between the spans of ``basis_of`` of two neighbouring blocks.
+
+    ``basis_of`` is ``_kernel_basis`` or ``_column_space``, whose basis is
+    the identity on its rows at the units, so the induced map is read off
+    those rows of the arrow applied to the next basis (module docstring).
     """
-    maps = tuple(
-        rows_at_units(*bases[k], ambient.maps[k] @ bases[k + 1][0]) for k in range(ambient.n - 1)
-    )
-    return Representation(ambient.n, tuple(incl.ncols for incl, _ in bases), maps)
+    return rows_at_units(*basis_of(block), arrow @ basis_of(next_block)[0])
+
+
+@lru_cache(maxsize=4096)
+def _quotient_square(block: F2Matrix, next_block: F2Matrix, arrow: F2Matrix) -> F2Matrix:
+    """The map that ``arrow`` induces between the cokernels of two neighbouring blocks.
+
+    Each left-kernel basis is the identity on its unit columns, so the
+    induced map is read off the previous basis applied to the arrow
+    (module docstring).
+    """
+    return columns_at_units(*_left_kernel_basis(next_block), _left_kernel_basis(block)[0] @ arrow)
+
+
+def _from_maps(maps: tuple[F2Matrix, ...], last: int) -> Representation:
+    """The representation with these arrow maps and dimension ``last`` at vertex n.
+
+    Map k is dims[k] x dims[k + 1], so the maps fix every other dimension.
+    """
+    return Representation(len(maps) + 1, tuple(m.nrows for m in maps) + (last,), maps)
+
+
+def _subrepresentation(basis_of, blocks: Sequence[F2Matrix], ambient: Representation) -> Representation:
+    """The subrepresentation of ``ambient`` spanned at each vertex v by ``basis_of(blocks[v])``."""
+    maps = tuple(_sub_square(basis_of, blocks[k], blocks[k + 1], ambient.maps[k]) for k in range(ambient.n - 1))
+    return _from_maps(maps, basis_of(blocks[-1])[0].ncols)
 
 
 def kernel_rep(f: RepMorphism) -> Representation:
     """Vertexwise kernel with the induced arrow maps."""
-    return _subrepresentation(f.source, [f.blocks[v].kernel_basis() for v in range(f.n)])
+    return _subrepresentation(_kernel_basis, f.blocks, f.source)
 
 
 def cokernel_rep(f: RepMorphism) -> Representation:
-    """Vertexwise cokernel with the induced arrow maps.
-
-    Each left-kernel basis is the identity on its unit columns, so the
-    induced map is read off the previous basis applied to the target arrow
-    (module docstring).
-    """
-    bases = [f.blocks[v].left_kernel_basis() for v in range(f.n)]
-    maps = tuple(
-        columns_at_units(*bases[k + 1], bases[k][0] @ f.target.maps[k]) for k in range(f.n - 1)
-    )
-    return Representation(f.n, tuple(proj.nrows for proj, _ in bases), maps)
+    """Vertexwise cokernel with the induced arrow maps."""
+    blocks = f.blocks
+    maps = tuple(_quotient_square(blocks[k], blocks[k + 1], f.target.maps[k]) for k in range(f.n - 1))
+    return _from_maps(maps, _left_kernel_basis(blocks[-1])[0].nrows)
 
 
 def image_rep(f: RepMorphism) -> Representation:
     """Vertexwise image with the induced arrow maps."""
-    return _subrepresentation(f.target, [f.blocks[v].column_space() for v in range(f.n)])
+    return _subrepresentation(_column_space, f.blocks, f.target)
 
 
+# One shared Interval per (a, b) for the barcodes that the memo keeps; 1024
+# holds every interval up to n = 44.
+_bar = lru_cache(maxsize=1024)(Interval)
+
+
+@lru_cache(maxsize=8192)
 def barcode(rep: Representation) -> tuple[Interval, ...]:
     """Multiset of intervals in the indecomposable decomposition.
 
@@ -314,7 +372,7 @@ def barcode(rep: Representation) -> tuple[Interval, ...]:
             check[v] += 1
     if tuple(check) != dims:
         raise AssertionError(f"barcode does not add up to dims in {rep.debug_text()}")
-    return tuple([Interval(a, b) for b, a in bars])
+    return tuple([_bar(a, b) for b, a in bars])
 
 
 def hom_space_dim(x_rep: Representation, y_rep: Representation) -> int:
@@ -393,10 +451,9 @@ def generated_submodule(rep: Representation, generators: Iterable[tuple[int, int
         m = rep.maps[v - 1]
         for vec in buckets[v]:
             buckets[v - 1].append(m.mat_vec(vec))
-    bases = [
-        F2Matrix(len(buckets[v]), rep.dims[v], buckets[v]).transpose().column_space() for v in range(n)
-    ]
-    return RepMorphism(_subrepresentation(rep, bases), rep, tuple(incl for incl, _ in bases))
+    spans = [F2Matrix(len(buckets[v]), rep.dims[v], buckets[v]).transpose() for v in range(n)]
+    incl = tuple(_column_space(g)[0] for g in spans)
+    return RepMorphism(_subrepresentation(_column_space, spans, rep), rep, incl)
 
 
 def _support_candidate(x: Interval, n: int, chosen: int) -> tuple[Representation, tuple[F2Matrix, ...]]:

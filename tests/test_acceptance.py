@@ -134,7 +134,7 @@ def test_criterion_3_algorithm_cross_validation():
 
 
 def test_criterion_4_oracle_equivalence():
-    for n in range(1, 6):
+    for n in range(1, 7):
         ivs = all_intervals(n)
         mods = {x: module_of(x, n) for x in ivs}
         for x in ivs:

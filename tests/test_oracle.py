@@ -7,6 +7,7 @@ from collections import Counter
 
 import pytest
 
+from intervalcat import oracle
 from intervalcat.gf2 import F2Matrix
 from intervalcat.intervals import (
     Interval,
@@ -22,6 +23,7 @@ from intervalcat.intervals import (
     subobjects,
 )
 from intervalcat.oracle import (
+    Representation,
     RepMorphism,
     barcode,
     canonical_morphism,
@@ -127,9 +129,66 @@ def test_blocks_that_do_not_commute_are_refused_by_induced_maps():
     f = object.__new__(RepMorphism)
     for name, value in (("source", m), ("target", m), ("blocks", blocks)):
         object.__setattr__(f, name, value)
-    for rep_of in (kernel_rep, cokernel_rep, image_rep):
-        with pytest.raises(ValueError, match="inconsistent linear system"):
-            rep_of(f)
+    # Twice: the memos of the induced maps store no failure, so the second
+    # call checks again and is refused again.
+    for _ in range(2):
+        for rep_of in (kernel_rep, cokernel_rep, image_rep):
+            with pytest.raises(ValueError, match="inconsistent linear system"):
+                rep_of(f)
+
+
+def test_lists_are_stored_as_tuples():
+    # A representation or morphism built from lists equals, hashes and
+    # decomposes like one built from tuples.
+    one = F2Matrix.identity(1)
+    listed = Representation(2, [1, 1], [one])
+    tupled = Representation(2, (1, 1), (one,))
+    assert listed == tupled and hash(listed) == hash(tupled)
+    assert barcode(listed) == barcode(tupled) == (Interval(1, 2),)
+    f = RepMorphism(listed, tupled, [one, one])
+    assert f.blocks == (one, one)
+    assert barcode(kernel_rep(f)) == () and barcode(cokernel_rep(f)) == ()
+
+
+MEMOS = (
+    oracle._kernel_basis, oracle._left_kernel_basis, oracle._column_space,
+    oracle._sub_square, oracle._quotient_square, oracle.barcode, oracle._bar,
+)
+
+
+def test_memos_give_what_a_cold_run_gives():
+    # Random maps between sums drawn from a few intervals share blocks and
+    # squares.  The first pass starts from empty memos; the second builds
+    # every morphism again, so its hits are found by value, and must miss
+    # nothing.  Both agree with each other and with the rank witnesses,
+    # which share no code with the memos.
+    rng = random.Random(47)
+    cases = []
+    for n in range(1, 6):
+        pool = all_intervals(n)[: n + 2]
+        for _ in range(60):
+            srcs = random_sum_members(rng, pool, 3)
+            tgts = random_sum_members(rng, pool, 3)
+            cases.append((n, srcs, tgts, random_morphism_coeffs(rng, srcs, tgts)))
+
+    def results():
+        out = []
+        for case in cases:
+            f = morphism_between_sums(*case)
+            reps = (kernel_rep(f), cokernel_rep(f), image_rep(f))
+            bars = tuple(barcode(rep) for rep in reps)
+            assert bars[:2] == (kernel_bars_by_ranks(f), cokernel_bars_by_ranks(f)), case
+            assert bars == tuple(barcode_by_ranks(rep) for rep in reps), case
+            out.append((reps, bars))
+        return out
+
+    for memo in MEMOS:
+        memo.cache_clear()
+    cold = results()
+    misses = [memo.cache_info().misses for memo in MEMOS]
+    assert results() == cold
+    assert [memo.cache_info().misses for memo in MEMOS] == misses
+    assert all(memo.cache_info().hits for memo in MEMOS)
 
 
 def test_hom_space_matches_hom_dim():
