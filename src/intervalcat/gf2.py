@@ -10,8 +10,10 @@ Which constructions validate their rows:
 
 - ``F2Matrix(nrows, ncols, rows)``, the public constructor, checks the shape,
   the row count and that every row is a non-negative int below 2**ncols.
-  ``zeros`` goes through it.  The oracle builds the blocks of
-  ``morphism_between_sums`` from user coefficients through it as well.
+  ``zeros`` goes through it.  The oracle interns matrices through it:
+  ``oracle._block`` is this constructor memoized by its arguments, which
+  validates on every miss and stores no failure, so equal blocks of
+  ``morphism_between_sums``, built from user coefficients, are one object.
 - The results of the methods below are built by the unchecked ``_new``,
   because their rows are in range by construction:
 
@@ -31,6 +33,12 @@ Which constructions validate their rows:
     the number of units.
   - ``block_diag``: each block's rows are shifted by the widths of the
     blocks before it, so they stay below the total width.
+
+Both constructions compute the hash once, into the ``_hash`` slot, since
+the oracle's memos hash their matrix keys on every lookup.  ``__eq__``
+checks identity first, then the cached hashes, then the slots, and builds
+no tuples.  A memo lookup on interned matrices does not call it at all:
+the comparison of two key tuples stops at identical items.
 """
 
 from __future__ import annotations
@@ -41,7 +49,7 @@ from typing import Iterable, Optional, Sequence
 class F2Matrix:
     """Immutable GF(2) matrix; rows are Python ints used as bit vectors."""
 
-    __slots__ = ("nrows", "ncols", "rows")
+    __slots__ = ("nrows", "ncols", "rows", "_hash")
 
     def __init__(self, nrows: int, ncols: int, rows: Optional[Sequence[int]] = None):
         if nrows < 0 or ncols < 0:
@@ -58,6 +66,7 @@ class F2Matrix:
         _set_nrows(self, nrows)
         _set_ncols(self, ncols)
         _set_rows(self, rows)
+        _set_hash(self, hash((nrows, ncols, rows)))
 
     @staticmethod
     def _new(nrows: int, ncols: int, rows: tuple[int, ...]) -> "F2Matrix":
@@ -66,6 +75,7 @@ class F2Matrix:
         _set_nrows(m, nrows)
         _set_ncols(m, ncols)
         _set_rows(m, rows)
+        _set_hash(m, hash((nrows, ncols, rows)))
         return m
 
     def __setattr__(self, name, value):
@@ -89,14 +99,16 @@ class F2Matrix:
         return (self.nrows, self.ncols)
 
     def __eq__(self, other) -> bool:
-        return (
+        return self is other or (
             isinstance(other, F2Matrix)
-            and self.shape == other.shape
+            and self._hash == other._hash
             and self.rows == other.rows
+            and self.nrows == other.nrows
+            and self.ncols == other.ncols
         )
 
     def __hash__(self) -> int:
-        return hash((self.nrows, self.ncols, self.rows))
+        return self._hash
 
     def __repr__(self) -> str:
         body = ",".join(format(r, f"0{self.ncols}b")[::-1] for r in self.rows)
@@ -185,7 +197,7 @@ class F2Matrix:
 
 # Slot setters that bypass the immutability guard of __setattr__; only
 # __init__ and _new use them.
-_set_nrows, _set_ncols, _set_rows = (getattr(F2Matrix, slot).__set__ for slot in F2Matrix.__slots__)
+_set_nrows, _set_ncols, _set_rows, _set_hash = (getattr(F2Matrix, slot).__set__ for slot in F2Matrix.__slots__)
 
 
 def _tagged(rows: Sequence[int], width: int) -> list[int]:

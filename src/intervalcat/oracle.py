@@ -11,11 +11,10 @@ involved.
 ``morphism_between_sums`` builds each direct sum once per (summand list, n)
 and shares it between all morphisms of those summands, which is most of
 what sweeping every coefficient pattern costs otherwise.  Sharing is safe
-because representations and matrices are immutable; the blocks, the
-coefficient checks and the commutation check of ``RepMorphism`` are still
-done for every morphism.  The commutation check and ``barcode`` multiply
-bit-packed row lists (``gf2.mul_rows``) instead of building a matrix for
-every product.
+because representations and matrices are immutable; the coefficient checks
+and the commutation check of ``RepMorphism`` are still done for every
+morphism.  The commutation check and ``barcode`` multiply bit-packed row
+lists (``gf2.mul_rows``) instead of building a matrix for every product.
 
 One elimination per vertex.  The basis routines of ``gf2`` hand over the
 positions where their basis is the identity: the free rows of a kernel
@@ -29,26 +28,39 @@ with ValueError("inconsistent linear system"), exactly when the arrow does
 not carry the subspace into the subspace, or the quotient onto the
 quotient, which can happen only when the blocks do not commute.
 
-Each distinct block, square and representation is solved once (hash
-consing: Filliatre and Conchon, ML Workshop 2006).  A sweep over many maps
-repeats them: the 13,928 maps at n = 4 with one source and up to three
-targets, or the reverse, have 55,712 blocks but only 19 distinct blocks of
-each kind, 277 distinct kernel and 286 cokernel squares, and 1,203
-distinct kernel and cokernel representations; the 55,790 maps at n = 5
-have the same blocks and squares and 3,883 representations.  So the basis
-of a block is memoized by the block (``_kernel_basis``,
-``_left_kernel_basis``, ``_column_space``), the induced map of a square by
-its block, next block and arrow (``_sub_square``, ``_quotient_square``),
-and ``barcode`` by the representation; the memo sizes are given where they
-are defined.  A hit returns exactly what a miss computes: every key is
-immutable and compared by value (``F2Matrix``, a frozen ``Representation``
-whose dims and maps are tuples), every memoized function is pure, and
-``lru_cache`` stores no exception.  So the product check of a square and
-the dims check of a barcode run on every miss, and a failing input raises
-on every call.  The commutation check of ``RepMorphism`` is not memoized:
-it multiplies lists of at most three rows, and a memo keyed on the four
-matrices of a square took 3.3 times as long as the check itself, since it
-hashes and compares four ``F2Matrix``.
+Each distinct block, square and representation is built, checked and
+solved once (hash consing: Filliatre and Conchon, ML Workshop 2006).  A
+sweep over many maps repeats them: the 13,928 maps at n = 4 with one source
+and up to three targets, or the reverse, have 55,712 blocks but only 19
+distinct blocks of each kind, 277 distinct kernel and 286 cokernel squares,
+and 1,203 distinct kernel and cokernel representations; the 55,790 maps at
+n = 5 have the same blocks and squares and 3,883 representations.
+
+The values are interned, so that equal values are one object.  ``_block``
+is the checked constructor ``F2Matrix(nrows, ncols, rows)`` memoized by its
+arguments; the blocks of ``morphism_between_sums``, the arrow maps of the
+sums of ``_shared_sum`` and the induced maps of the squares come from it,
+60 distinct matrices in either sweep.  ``_from_maps`` is memoized by its
+maps, so equal kernel and cokernel representations are one object too.  On
+these values the basis of a block is memoized by the block
+(``_kernel_basis``, ``_left_kernel_basis``, ``_column_space``), the induced
+map of a square by its block, next block and arrow (``_sub_square``,
+``_quotient_square``), and ``barcode`` by the representation; the memo
+sizes are given where they are defined.  Every hit is found by identity: a
+lookup hashes its key through the hash that each ``F2Matrix`` computes
+once, at construction, and the tuple comparison of the keys stops at the
+identical objects, with no ``F2Matrix.__eq__`` call in a whole round.  A
+hit returns exactly what a miss computes: every key is immutable and equal
+keys are equal values (an ``F2Matrix``, a frozen ``Representation`` whose
+dims and maps are tuples), every memoized function is pure, and
+``lru_cache`` stores no exception.  So the row checks of the constructor,
+the checks of a ``Representation``, the product check of a square and the
+dims check of a barcode run on every miss, and a failing input raises on
+every call.  The commutation check of ``RepMorphism`` runs for every
+morphism.  On the interned blocks and arrows a memo keyed on the four
+matrices of a square took 0.019 s against 0.028 s for the direct check
+over the 41,784 squares of one n = 4 round, but whole rounds showed no
+gain, so it is not kept.
 
 One pass up the arrows for ``barcode`` (the elder rule of persistence:
 Zomorodian and Carlsson, DCG 2005; the decomposition is Crawley-Boevey's,
@@ -178,12 +190,9 @@ class RepMorphism:
             raise ValueError("source and target live in different ambients")
         if len(self.blocks) != s.n:
             raise ValueError(f"expected {s.n} blocks, got {len(self.blocks)}")
-        for v in range(s.n):
-            if self.blocks[v].shape != (t.dims[v], s.dims[v]):
-                raise ValueError(
-                    f"block {v} has shape {self.blocks[v].shape}, "
-                    f"expected {(t.dims[v], s.dims[v])}"
-                )
+        for v, block in enumerate(self.blocks):
+            if block.nrows != t.dims[v] or block.ncols != s.dims[v]:
+                raise ValueError(f"block {v} has shape {block.shape}, expected {(t.dims[v], s.dims[v])}")
         # The shapes above make both sides t.dims[k] x s.dims[k + 1], so
         # their rows can be compared without building matrices.
         blocks = self.blocks
@@ -210,8 +219,9 @@ def morphism_between_sums(
     sources[i] -> targets[j]; setting a coefficient on a zero hom space is an
     error.  The nonzero map of two intervals is the identity on the vertices
     they share, so a coefficient sets one entry of the block at each of
-    them.  Both sums come from ``_shared_sum``; the blocks and the morphism,
-    whose construction checks that the blocks commute, are built afresh.
+    them.  Both sums come from ``_shared_sum`` and the blocks from ``_block``;
+    the morphism, whose construction checks that the blocks commute, is
+    built afresh.
     """
     sources, targets = tuple(sources), tuple(targets)
     src, src_pos = _shared_sum(sources, n)
@@ -227,8 +237,20 @@ def morphism_between_sums(
             raise ValueError(f"hom space {x} -> {y} is zero")
         for v in range(y.a - 1, x.b):
             rows[v][tgt_pos[v][j]] |= 1 << src_pos[v][i]
-    blocks = tuple(F2Matrix(tgt.dims[v], src.dims[v], rows[v]) for v in range(n))
+    blocks = tuple(_block(tgt.dims[v], src.dims[v], tuple(rows[v])) for v in range(n))
     return RepMorphism(src, tgt, blocks)
+
+
+# The checked constructor F2Matrix(nrows, ncols, rows), interned (module
+# docstring): a miss runs all its checks and a bad row is refused on every
+# call.  The n = 4 and n = 5 sweeps have 60 distinct blocks, arrows and
+# induced maps, so 1024 leaves room for the random maps of the tests.
+_block = lru_cache(maxsize=1024)(F2Matrix)
+
+
+def _interned(m: F2Matrix) -> F2Matrix:
+    """The one object of ``_block`` equal to m."""
+    return _block(m.nrows, m.ncols, m.rows)
 
 
 # 4096 holds every summand list of the one-source, three-target sweeps up to
@@ -239,8 +261,10 @@ def _shared_sum(intervals: tuple[Interval, ...], n: int) -> tuple[Representation
 
     The position of a summand absent at a vertex is -1.  Both parts are
     immutable, so every morphism between the same summand lists shares them.
+    The arrow maps are interned through ``_block``.
     """
     rep = sum_of(intervals, n)
+    rep = Representation(n, rep.dims, tuple(_interned(m) for m in rep.maps))
     positions = []
     for v in range(1, n + 1):
         pos, p = [], 0
@@ -264,8 +288,8 @@ def canonical_morphism(source: Interval, target: Interval, n: int) -> RepMorphis
 # Memos (module docstring).  The n = 4 and n = 5 sweeps have 19 distinct
 # blocks of each kind and 277 and 286 distinct squares, so 1024 and 4096
 # leave room for the random maps of the tests; they have 1,203 and 3,883
-# distinct kernel and cokernel representations, so the 8192 of ``barcode``
-# holds a whole n = 5 sweep.
+# distinct kernel and cokernel representations, so the 8192 of
+# ``_from_maps`` and ``barcode`` holds a whole n = 5 sweep.
 _kernel_basis = lru_cache(maxsize=1024)(F2Matrix.kernel_basis)
 _left_kernel_basis = lru_cache(maxsize=1024)(F2Matrix.left_kernel_basis)
 _column_space = lru_cache(maxsize=1024)(F2Matrix.column_space)
@@ -279,7 +303,7 @@ def _sub_square(basis_of, block: F2Matrix, next_block: F2Matrix, arrow: F2Matrix
     the identity on its rows at the units, so the induced map is read off
     those rows of the arrow applied to the next basis (module docstring).
     """
-    return rows_at_units(*basis_of(block), arrow @ basis_of(next_block)[0])
+    return _interned(rows_at_units(*basis_of(block), arrow @ basis_of(next_block)[0]))
 
 
 @lru_cache(maxsize=4096)
@@ -290,13 +314,15 @@ def _quotient_square(block: F2Matrix, next_block: F2Matrix, arrow: F2Matrix) -> 
     induced map is read off the previous basis applied to the arrow
     (module docstring).
     """
-    return columns_at_units(*_left_kernel_basis(next_block), _left_kernel_basis(block)[0] @ arrow)
+    return _interned(columns_at_units(*_left_kernel_basis(next_block), _left_kernel_basis(block)[0] @ arrow))
 
 
+@lru_cache(maxsize=8192)
 def _from_maps(maps: tuple[F2Matrix, ...], last: int) -> Representation:
     """The representation with these arrow maps and dimension ``last`` at vertex n.
 
     Map k is dims[k] x dims[k + 1], so the maps fix every other dimension.
+    Memoized, so equal kernel and cokernel representations are one object.
     """
     return Representation(len(maps) + 1, tuple(m.nrows for m in maps) + (last,), maps)
 

@@ -38,10 +38,10 @@ def test_constructor_validation():
     assert F2Matrix(0, 3, []).shape == (0, 3)
     assert F2Matrix(2, 3) == F2Matrix.zeros(2, 3) == F2Matrix(2, 3, [0, 0])
     m = F2Matrix.identity(2)
-    for name in ("nrows", "ncols", "rows", "other"):
+    for name in F2Matrix.__slots__ + ("other",):  # the cached hash too
         with pytest.raises(AttributeError):
             setattr(m, name, 0)
-    assert m.shape == (2, 2) and m.rows == (1, 2)
+    assert m.shape == (2, 2) and m.rows == (1, 2) and hash(m) == hash(F2Matrix.identity(2))
 
 
 def test_matmul():
@@ -203,3 +203,31 @@ def test_unchecked_results_are_valid():
         checked(columns_at_units(basis, units, _random_matrix(rng, q, basis.nrows) @ basis))
         checked(block_diag([a, _random_matrix(rng, q, m), F2Matrix.zeros(k, 0)]))
     checked(block_diag([]))
+
+
+def test_equality_and_hash():
+    # Equal values compare and hash equal, whichever construction built
+    # them: the checked constructor or one of the unchecked results.
+    a = F2Matrix(2, 3, (0b101, 0b011))
+    equal_groups = (
+        (F2Matrix(2, 2, (0b01, 0b10)), F2Matrix.identity(2), F2Matrix.identity(2).transpose(),
+         F2Matrix.identity(2) @ F2Matrix.identity(2)),
+        (a, a.transpose().transpose(), a @ F2Matrix.identity(3), F2Matrix.identity(2) @ a,
+         F2Matrix(3, 2, (0b11, 0b10, 0b01)).transpose()),
+        (F2Matrix(0, 3), F2Matrix(0, 3, []), F2Matrix(3, 0).transpose(), F2Matrix(0, 2) @ F2Matrix(2, 3)),
+    )
+    for group in equal_groups:
+        for x in group:
+            for y in group:
+                assert x == y and not x != y and hash(x) == hash(y), (x, y)
+    # Unequal shapes are unequal values, also when both have no entries
+    # or the same rows.
+    unequal = (
+        F2Matrix(0, 2), F2Matrix(0, 3), F2Matrix(2, 0), F2Matrix(3, 0),
+        F2Matrix(1, 2, (1,)), F2Matrix(1, 3, (1,)), F2Matrix(2, 2), F2Matrix(2, 3),
+    )
+    for i, x in enumerate(unequal):
+        for j, y in enumerate(unequal):
+            assert (x == y) is (i == j) and (x != y) is (i != j), (x, y)
+    assert len(set(unequal)) == len(unequal)
+    assert F2Matrix.identity(1) != 1 and F2Matrix(0, 0) != ()

@@ -151,8 +151,9 @@ def test_lists_are_stored_as_tuples():
 
 
 MEMOS = (
-    oracle._kernel_basis, oracle._left_kernel_basis, oracle._column_space,
-    oracle._sub_square, oracle._quotient_square, oracle.barcode, oracle._bar,
+    oracle._block, oracle._shared_sum, oracle._kernel_basis, oracle._left_kernel_basis,
+    oracle._column_space, oracle._sub_square, oracle._quotient_square, oracle._from_maps,
+    oracle.barcode, oracle._bar,
 )
 
 
@@ -189,6 +190,50 @@ def test_memos_give_what_a_cold_run_gives():
     assert results() == cold
     assert [memo.cache_info().misses for memo in MEMOS] == misses
     assert all(memo.cache_info().hits for memo in MEMOS)
+
+
+def test_equal_inputs_give_the_same_objects():
+    # Equal blocks, arrows and representations are one object each, so the
+    # memos find their hits by identity.  Cleared first, so that no earlier
+    # eviction has left two equal objects in the memos.
+    for memo in MEMOS:
+        memo.cache_clear()
+    n = 4
+    srcs, tgts = [Interval(1, 3), Interval(2, 3)], [Interval(2, 4), Interval(3, 4)]
+    coeffs = {(0, 0): 1, (1, 0): 1, (1, 1): 1}
+    f = morphism_between_sums(n, srcs, tgts, coeffs)
+    g = morphism_between_sums(n, list(srcs), tuple(tgts), dict(coeffs))
+    assert f == g and f is not g
+    assert all(a is b for a, b in zip(f.blocks, g.blocks))
+    assert all(a is b for a, b in zip(f.source.maps + f.target.maps, g.source.maps + g.target.maps))
+    for rep_of in (kernel_rep, cokernel_rep, image_rep):
+        assert rep_of(f) is rep_of(g)
+    kernel, cokernel = kernel_rep(f), cokernel_rep(f)
+    assert barcode(kernel) == kernel_bars_by_ranks(f) and barcode(cokernel) == cokernel_bars_by_ranks(f)
+    assert barcode(kernel) and barcode(cokernel)
+    # A block of another morphism, and an induced map, equal to one of
+    # these is the same object too.
+    one = oracle._block(1, 1, (1,))
+    assert canonical_morphism(Interval(2, 3), Interval(2, 3), n).blocks[1] is one
+    assert oracle._shared_sum((Interval(1, 3),), n)[0].maps[0] is one
+    assert kernel.maps[0] is one
+    assert all(m is oracle._interned(m) for rep in (kernel, cokernel, image_rep(f)) for m in rep.maps)
+
+
+def test_memos_store_no_failure():
+    # Valid calls fill the memos first; every bad input is still refused
+    # on every call, and leaves no entry behind.
+    one, zero = oracle._block(1, 1, (1,)), oracle._block(1, 1, (0,))
+    m = module_of(Interval(1, 2), 2)
+    assert RepMorphism(m, m, (one, one)).blocks == (one, one)
+    morphism_between_sums(2, [Interval(1, 2)], [Interval(1, 2)], {(0, 0): 1})
+    entries = oracle._block.cache_info().currsize
+    for _ in range(3):
+        with pytest.raises(ValueError, match="row 0x2 out of range for 1 columns"):
+            oracle._block(1, 1, (2,))
+        with pytest.raises(ValueError, match="do not commute"):
+            RepMorphism(m, m, (one, zero))
+    assert oracle._block.cache_info().currsize == entries
 
 
 def test_hom_space_matches_hom_dim():
