@@ -41,10 +41,30 @@ conclusions.  It excludes no L when po is not in X, all of ``up`` when po
 is in X but co is not, and ``viol`` when both are; F(X) is the complement
 of what the rules exclude.  Rules with equal old parts are merged, and the
 bitsets of a level are built, when a run reaches it, from the masks of the
-subsets holding each element of the layer.  The sets grown from one state
-(or, in the enumeration, from one parent) agree with it below the layer
-just added, so the rules that this part decides are settled once per state
-(``_settle``) and only the others are tested for each grown set.
+subsets holding each element of the layer.
+
+A set read at level k is grown, Y | M with Y a state (in the enumeration, a
+parent) below layer k and M a subset of layer k, the layer just added.  By
+where their old parts lie, the rules of the level are of three kinds:
+
+- layer-local: po and co lie in layer k, or are empty.  Such a rule tests
+  only bits of layer k, where Y | M equals M, so it fires and excludes
+  according to M alone; what these rules leave of ``full`` is read once
+  per level and M (``_layer_reads``) and shared by every state and parent.
+- deep: po and co lie below layer k and are not both empty, so Y decides
+  them; they are settled once per state (``_settle``) into one bitset of
+  excluded layers.
+- mixed: po and co together meet both layer k and the layers below it.
+  ``_settle`` drops those whose premises Y lacks and settles those that Y
+  decides; the rest are tested per grown set.
+
+The per-layer read is exact because F is the complement of a union of the
+rules' exclusions, and a union may be taken over the parts of any split of
+the rules: F(Y | M) = read(M) & ~(what the deep and mixed rules exclude).
+The split merges nothing, so the counts and the lectic order are those of
+the rules read one by one.  E, CE, KE and CKE have no mixed rules, so a
+family there costs one lookup and one mask; K has the most (126 of 336 at
+level 7).
 
 The merge of the layer transfer is exact when equal families imply equal
 next families: then, by induction on the level, the number of closed sets
@@ -102,11 +122,14 @@ def _lectic_masks(table: RuleTable) -> Iterator[tuple[int, tuple[int, ...]]]:
     The lectic order is induced by the canonical interval index: of two
     sets, the one holding their lowest differing index comes later.  A node
     of the walk at depth d is a set X closed on its first d layers, the root
-    the empty set; its children are the X | L for L in F(X), read off
-    ``_layer_kernel`` of level d, and the rules of level d + 1 are settled on
-    X once for all of them (``_settle``), as in the transfer.  F(X) always
-    holds the empty layer, so every path reaches depth n, and the leaves are
-    exactly the closed sets.  Nothing is merged and no closure is made.
+    the empty set; its children are the X | L for L in F(X).  F(X) is read
+    as in the transfer: the read of level d for the last layer of X
+    (``_layer_reads``, shared by all parents) masked by the rules that are
+    not layer-local, which the parent of X settled once for all its
+    children (``_settle``); X carries its last layer on the stack.  F(X)
+    always holds the empty layer, so every path reaches depth n, and the
+    leaves are exactly the closed sets.  Nothing is merged and no closure
+    is made.
 
     Layer d holds the indices below those of layer d + 1, so the lowest
     index where two leaves differ lies in their first differing layer, and
@@ -119,7 +142,7 @@ def _lectic_masks(table: RuleTable) -> Iterator[tuple[int, tuple[int, ...]]]:
     at depth 6 and 233 families among them.
     """
     last = table.n - 1
-    kernels = [_layer_kernel(table, level) for level in range(last + 1)]
+    reads, rests = zip(*[_layer_reads(table, level) for level in range(last + 1)])
     # revs[level][L]: L with its level + 1 bits reversed
     revs = [[0, 1]]
     for _ in range(last):
@@ -127,12 +150,12 @@ def _lectic_masks(table: RuleTable) -> Iterator[tuple[int, tuple[int, ...]]]:
         revs.append([r << 1 for r in rev] + [r << 1 | 1 for r in rev])
     # orders[level][family]: the layers of the family, shifted into place, in lectic order
     orders: list[dict[int, tuple[int, ...]]] = [{} for _ in range(last + 1)]
-    # (depth, X, rules of that level settled by the parent of X)
-    stack = [(0, 0, 0, kernels[0][1])]
+    # (depth, X, last layer of X in place, rules of that level settled by the parent of X)
+    stack = [(0, 0, 0, 0, rests[0])]
     while stack:
-        level, x, forced, live = stack.pop()
+        level, x, top, forced, live = stack.pop()
         shift = level * (level + 1) // 2
-        family = _layer_family(kernels[level][0], forced, live, x)
+        family = _layer_family(reads[level][top], forced, live, x)
         layers = orders[level].get(family)
         if layers is None:
             ordered = sorted(_iter_bits(family), key=revs[level].__getitem__)
@@ -140,9 +163,9 @@ def _lectic_masks(table: RuleTable) -> Iterator[tuple[int, tuple[int, ...]]]:
         if level == last:
             yield x, layers
         else:
-            forced, live = _settle(kernels[level + 1][1], x, (1 << shift) - 1)
+            forced, live = _settle(rests[level + 1], x, (1 << shift) - 1)
             level += 1
-            stack.extend([(level, x | layer, forced, live) for layer in reversed(layers)])
+            stack.extend([(level, x | top, top, forced, live) for top in reversed(layers)])
 
 
 def closed_groups(n: int, spec: ClosureSpec) -> Iterator[tuple[int, tuple[int, ...]]]:
@@ -175,7 +198,9 @@ def _layer_kernel(table: RuleTable, level: int) -> tuple[int, list[_LayerRule]]:
     module docstring).  Each is split into its old part, the premises po and
     conclusions co below the layer, and two bitsets: ``up``, the L holding
     its layer premises, and ``viol``, the L in ``up`` lacking one of its
-    layer conclusions.  Rules with equal old parts are merged.
+    layer conclusions.  Rules with equal old parts are merged.  The rules
+    come unsplit; ``_layer_reads`` sorts them into layer-local ones and the
+    rest.
     """
     fixed = level * (level + 1) // 2
     width = level + 1
@@ -202,13 +227,50 @@ def _layer_kernel(table: RuleTable, level: int) -> tuple[int, list[_LayerRule]]:
     return full, [(po, co, up, viol) for (po, co), (up, viol) in merged.items()]
 
 
+class _LayerReads(dict):
+    """reads[M]: ``full`` less what the layer-local rules of a level exclude, M the last layer.
+
+    M is given in place, at the canonical indices of its layer.  Each M is
+    read once, when first asked for, so a level holds at most one family
+    per subset of the layer just added, and only those a run reaches.
+    """
+
+    def __init__(self, full: int, local: list[_LayerRule]):
+        super().__init__()
+        self.full = full
+        self.local = local
+
+    def __missing__(self, top: int) -> int:
+        family = self[top] = _layer_family(self.full, 0, self.local, top)
+        return family
+
+
+def _layer_reads(table: RuleTable, level: int) -> tuple[_LayerReads, list[_LayerRule]]:
+    """The rules of ``_layer_kernel`` of a level: the layer-local ones as reads, and the rest.
+
+    A rule is layer-local when its old premises and old conclusions lie in
+    layer ``level``, the one just added below the layer being read, or are
+    empty; on a set whose last layer is M it fires and excludes as on M
+    (module docstring).  The rest, deep and mixed rules, go to ``_settle``.
+    At level 0 every rule is layer-local, having no old part.
+    """
+    full, rules = _layer_kernel(table, level)
+    deep = (1 << (level - 1) * level // 2) - 1
+    local = [rule for rule in rules if not (rule[0] | rule[1]) & deep]
+    rest = [rule for rule in rules if (rule[0] | rule[1]) & deep]
+    return _LayerReads(full, local), rest
+
+
 def _settle(rules: list[_LayerRule], x: int, known: int) -> tuple[int, list[_LayerRule]]:
     """Rules of ``_layer_kernel`` for the sets that agree with x on the bits of ``known``.
 
     Returns the L that every such set excludes, from the rules that fire on
     all of them and whose exclusion ``known`` decides, and the rules still
     open.  A rule with an old premise outside x in ``known`` fires on none
-    of them and is dropped.
+    of them and is dropped.  The transfer and the walk pass the rules that
+    are not layer-local (``_layer_reads``) and settle them once per state
+    or parent: the deep ones are all settled, the mixed ones whose premises
+    x lacks are dropped, and those left open are tested per grown set.
     """
     miss = known & ~x
     forced = 0
@@ -228,18 +290,23 @@ def _settle(rules: list[_LayerRule], x: int, known: int) -> tuple[int, list[_Lay
     return forced, live
 
 
-def _layer_family(full: int, forced: int, live: list[_LayerRule], x: int) -> int:
-    """F(x) from the result of ``_settle`` for a set that agrees with x on ``known``.
+def _layer_family(base: int, forced: int, live: list[_LayerRule], x: int) -> int:
+    """``base`` less the L that ``forced`` and the ``live`` rules exclude for the set x.
 
-    With ``forced`` = 0 and every rule of ``_layer_kernel`` live, this is
-    F(x) = full & ~OR, over the rules whose old premises lie in x, of
-    ``viol`` when their old conclusions lie in x too and ``up`` otherwise.
+    With ``base`` = ``full``, ``forced`` = 0 and every rule of
+    ``_layer_kernel`` live, this is F(x) = full & ~OR, over the rules whose
+    old premises lie in x, of ``viol`` when their old conclusions lie in x
+    too and ``up`` otherwise.  The transfer and the walk pass the read of
+    the layer-local rules for the last layer of x as ``base`` and the
+    result of ``_settle`` on the rest, for a set that agrees with x on
+    ``known``; the exclusions of a split of the rules add up, so that is
+    the same F(x).
     """
     bad = forced
     for po, co, up, viol in live:
         if po & x == po:
             bad |= viol if co & x == co else up
-    return full & ~bad
+    return base & ~bad
 
 
 def _layer_counts(n_max: int, spec: ClosureSpec) -> Iterator[int]:
@@ -250,22 +317,23 @@ def _layer_counts(n_max: int, spec: ClosureSpec) -> Iterator[int]:
     states that nothing would read.
     """
     table = build_table(n_max, spec)
-    full, rules = _layer_kernel(table, 0)
-    states = {_layer_family(full, 0, rules, 0): [0, 1]}
+    reads, _ = _layer_reads(table, 0)
+    states = {reads[0]: [0, 1]}
     yield sum(mult * family.bit_count() for family, (_, mult) in states.items())
     for level in range(n_max - 1):
         last = level + 2 == n_max
         shift = level * (level + 1) // 2
         below = (1 << shift) - 1
-        full, rules = _layer_kernel(table, level + 1)
+        reads, rules = _layer_reads(table, level + 1)
         total = 0
         nxt: dict[int, list[int]] = {}
         for family, (rep, mult) in states.items():
             # the grown sets all agree with rep below the layer just added
             forced, live = _settle(rules, rep, below)
             for layer in _iter_bits(family):
-                grown = rep | (layer << shift)
-                key = _layer_family(full, forced, live, grown)
+                top = layer << shift
+                grown = rep | top
+                key = _layer_family(reads[top], forced, live, grown)
                 total += mult * key.bit_count()
                 if last:
                     continue
@@ -289,9 +357,10 @@ def count_layers(n: int, spec: ClosureSpec) -> int:
     multiplicity: the count at level k+1 is the sum of multiplicity times
     |F|, and the states at level k+1 are the families of representative | L
     for every L in F.  Each family is one int with a bit per layer, read off
-    precomputed rule bitsets (``up`` and ``viol``) without a closure; it is
-    exact because a rule concludes within the level of its largest premise
-    endpoint (module docstring).  The merge is exact when equal families
+    precomputed rule bitsets (``up`` and ``viol``) without a closure, the
+    layer-local rules once per level and layer and the others once per
+    state and grown set; it is exact because a rule concludes within the
+    level of its largest premise endpoint (module docstring).  The merge is exact when equal families
     imply equal next families; see the module docstring for what backs that.
     The enumeration it is checked against walks the same kernel but merges
     nothing.

@@ -14,6 +14,7 @@ from intervalcat.closure import ClosureSpec, build_table
 from intervalcat.counting import (
     _layer_family,
     _layer_kernel,
+    _layer_reads,
     _lectic_masks,
     _settle,
     count_brute,
@@ -178,14 +179,32 @@ def _layer_start(level: int) -> int:
     return level * (level + 1) // 2
 
 
+def _split_families(reads, rest, level: int, x: int) -> list[int]:
+    """F(x) read split: the layer-local read of the last layer of x, masked by the settled rest.
+
+    ``reads`` and ``rest`` are those of ``_layer_reads`` for the level,
+    shared by every x as in the transfer and the walk.  The rest is settled
+    on the bits below the last layer of x, as those settle it, and on every
+    bit of x.
+    """
+    start = _layer_start(level - 1)
+    top = x & ~((1 << start) - 1)
+    return [
+        _layer_family(reads[top], *_settle(rest, x, known), x)
+        for known in ((1 << start) - 1, (1 << _layer_start(level)) - 1)
+    ]
+
+
 def test_layer_kernel_equals_direct_check_all_specs():
     """F(X) from the kernel bitsets equals the closedness of every X | L, checked rule by rule.
 
     X runs over every closed set of each level, L over every subset of the
-    next layer, and the table is that of n = 6.  The family is read both
-    unsettled and settled on the bits below the last layer of X, as the
-    transfer reads it, and on every bit of X.  The closed X come from the
-    subset sweep, not from the enumeration, which walks this same kernel.
+    next layer, and the table is that of n = 6.  The family is read
+    unsettled, settled on the bits below the last layer of X and on every
+    bit of X, and split: the per-layer read of the layer-local rules masked
+    by the settled rest, as the transfer and the walk read it.  The closed
+    X come from the subset sweep, not from the enumeration, which walks
+    this same kernel.
     """
     n = 6
     for s in all_specs():
@@ -193,6 +212,7 @@ def test_layer_kernel_equals_direct_check_all_specs():
         for level in range(n):
             fixed = _layer_start(level)
             full, rules = _layer_kernel(table, level)
+            reads, rest = _layer_reads(table, level)
             closed = _swept_closed_masks(level, s) if level else [0]
             for x in closed:
                 want = sum(
@@ -204,6 +224,56 @@ def test_layer_kernel_equals_direct_check_all_specs():
                 for known in ((1 << _layer_start(level - 1)) - 1, (1 << fixed) - 1):
                     got = _layer_family(full, *_settle(rules, x, known), x)
                     assert got == want, (str(s), level, x, known)
+                got = _split_families(reads, rest, level, x)
+                assert got == [want, want], (str(s), level, x)
+
+
+def test_split_read_equals_direct_check_on_random_rules():
+    """The split read is exact for any rule table, not only for generated ones.
+
+    Which rules are layer-local depends only on where their old parts lie,
+    so the per-layer read must hold for rule sets no spec generates.  X runs
+    over every set closed on its first levels under random rules at n = 5,
+    and F(X) is compared with a rule-by-rule sweep of the next level.
+    """
+    rng = random.Random(26)
+    n = 5
+    for count in (3, 6, 12, 24):
+        for _ in range(5):
+            rules = _random_rules(rng, n, count)
+            table = _GivenRules(n, rules)
+            premises: dict[int, int] = {}
+            for prem, conc in rules:
+                premises[prem] = premises.get(prem, 0) | conc
+            closed = [0]
+            for level in range(n):
+                fixed = _layer_start(level)
+                reads, rest = _layer_reads(table, level)
+                grown = closed_masks(level + 1, premises)
+                for x in closed:
+                    want = sum(
+                        1 << layer
+                        for layer in range(1 << (level + 1))
+                        if x | (layer << fixed) in grown
+                    )
+                    got = _split_families(reads, rest, level, x)
+                    assert got == [want, want], (rules, level, x)
+                closed = grown
+
+
+def test_layer_split_is_a_partition_all_specs():
+    """The layer-local rules and the rest are together exactly the unsplit rules of each level."""
+    n = 7
+    for s in all_specs():
+        table = build_table(n, s)
+        for level in range(n):
+            full, rules = _layer_kernel(table, level)
+            reads, rest = _layer_reads(table, level)
+            assert reads.full == full, (str(s), level)
+            assert sorted(reads.local + rest) == sorted(rules), (str(s), level)
+            layer = (1 << _layer_start(level)) - (1 << _layer_start(level - 1))
+            assert all(not (po | co) & ~layer for po, co, _, _ in reads.local), (str(s), level)
+            assert all((po | co) & ~layer for po, co, _, _ in rest), (str(s), level)
 
 
 def test_closed_count_matches_oracle_closedness_semantics():
