@@ -349,21 +349,9 @@ def _layer_counts(n_max: int, spec: ClosureSpec) -> Iterator[int]:
 def count_layers(n: int, spec: ClosureSpec) -> int:
     """Number of closed sets, by a transfer over layers of intervals.
 
-    Layer k holds the k intervals [a, k]; they take the canonical indices
-    k(k-1)/2 .. k(k+1)/2 - 1, which do not depend on n, so a closed set at
-    level k+1 is a closed set X at level k plus one layer L from its family
-    F(X), the layers with X | L closed at level k+1.  Closed sets with equal
-    families are merged into one state, a representative with a
-    multiplicity: the count at level k+1 is the sum of multiplicity times
-    |F|, and the states at level k+1 are the families of representative | L
-    for every L in F.  Each family is one int with a bit per layer, read off
-    precomputed rule bitsets (``up`` and ``viol``) without a closure, the
-    layer-local rules once per level and layer and the others once per
-    state and grown set; it is exact because a rule concludes within the
-    level of its largest premise endpoint (module docstring).  The merge is exact when equal families
-    imply equal next families; see the module docstring for what backs that.
-    The enumeration it is checked against walks the same kernel but merges
-    nothing.
+    The last term of ``_layer_counts(n, spec)``; n < 1 raises ValueError.
+    The transfer, its merge and what backs the merge are described in the
+    module docstring.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")

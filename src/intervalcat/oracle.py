@@ -16,13 +16,13 @@ and the commutation check of ``RepMorphism`` are still done for every
 morphism.  The commutation check and ``barcode`` multiply bit-packed row
 lists (``gf2.mul_rows``) instead of building a matrix for every product.
 
-One elimination per vertex.  The basis routines of ``gf2`` hand over the
+No second elimination.  The basis routines of ``gf2`` hand over the
 positions where their basis is the identity: the free rows of a kernel
 basis, the unit columns of a left-kernel basis, the pivot rows of a
 column-space basis.  ``kernel_rep``, ``cokernel_rep``, ``image_rep`` and
-``generated_submodule`` eliminate each block once and read every induced
-arrow map off those positions of the arrow composed with the neighbouring
-basis (``gf2.rows_at_units``, ``gf2.columns_at_units``).  One product of
+``generated_submodule`` read every induced arrow map off those positions
+of the arrow composed with the neighbouring basis, solving no system
+(``gf2.rows_at_units``, ``gf2.columns_at_units``).  One product of
 the basis with the map read off checks it against that composite; it fails,
 with ValueError("inconsistent linear system"), exactly when the arrow does
 not carry the subspace into the subspace, or the quotient onto the
@@ -32,9 +32,9 @@ Each distinct block, square and representation is built, checked and
 solved once (hash consing: Filliatre and Conchon, ML Workshop 2006).  A
 sweep over many maps repeats them: the 13,928 maps at n = 4 with one source
 and up to three targets, or the reverse, have 55,712 blocks but only 19
-distinct blocks of each kind, 277 distinct kernel and 286 cokernel squares,
-and 1,203 distinct kernel and cokernel representations; the 55,790 maps at
-n = 5 have the same blocks and squares and 3,883 representations.
+distinct ones, 277 distinct kernel and 286 cokernel squares, and 1,203
+distinct kernel and cokernel representations; the 55,790 maps at n = 5
+have the same blocks and squares and 3,883 representations.
 
 The values are interned, so that equal values are one object.  ``_block``
 is the checked constructor ``F2Matrix(nrows, ncols, rows)`` memoized by its
@@ -42,11 +42,12 @@ arguments; the blocks of ``morphism_between_sums``, the arrow maps of the
 sums of ``_shared_sum`` and the induced maps of the squares come from it,
 60 distinct matrices in either sweep.  ``_from_maps`` is memoized by its
 maps, so equal kernel and cokernel representations are one object too.  On
-these values the basis of a block is memoized by the block
-(``_kernel_basis``, ``_left_kernel_basis``, ``_column_space``), the induced
-map of a square by its block, next block and arrow (``_sub_square``,
-``_quotient_square``), and ``barcode`` by the representation; the memo
-sizes are given where they are defined.  Every hit is found by identity: a
+these values the induced map of a square is memoized by its block, next
+block and arrow (``_sub_square``, ``_quotient_square``), and ``barcode`` by
+the representation; the memo sizes are given where they are defined.  Bases
+are solved only on a square miss, and the dimension at vertex n is read off
+the columns of the last induced map (for n = 1, with no arrow, off a
+basis), so a hit eliminates nothing.  Every hit is found by identity: a
 lookup hashes its key through the hash that each ``F2Matrix`` computes
 once, at construction, and the tuple comparison of the keys stops at the
 identical objects, with no ``F2Matrix.__eq__`` call in a whole round.  A
@@ -57,10 +58,7 @@ dims and maps are tuples), every memoized function is pure, and
 the checks of a ``Representation``, the product check of a square and the
 dims check of a barcode run on every miss, and a failing input raises on
 every call.  The commutation check of ``RepMorphism`` runs for every
-morphism.  On the interned blocks and arrows a memo keyed on the four
-matrices of a square took 0.019 s against 0.028 s for the direct check
-over the 41,784 squares of one n = 4 round, but whole rounds showed no
-gain, so it is not kept.
+morphism.
 
 One pass up the arrows for ``barcode`` (the elder rule of persistence:
 Zomorodian and Carlsson, DCG 2005; the decomposition is Crawley-Boevey's,
@@ -77,13 +75,17 @@ dimension is the rank of M(v) -> M(a).  Reduction in birth order keeps
 this for every a across an arrow, and the live vectors stay independent,
 so the bars counted here are those that the inclusion-exclusion of
 composite ranks gives.  The bars must still add up to ``dims``.
+
+``hom_space_dim``, ``ext_dim``, ``image_rep``, ``generated_submodule``
+and the two support enumerations serve no count: they are the checker, the
+reference that the tests hold the endpoint formulas against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .gf2 import F2Matrix, block_diag, columns_at_units, mul_rows, rank_of_rows, rows_at_units
 from .intervals import Interval, hom_dim
@@ -137,22 +139,21 @@ class Representation:
         return f"dims({dims}) maps({maps})"
 
 
+def _support_rep(dims: tuple[int, ...]) -> Representation:
+    """GF(2) at the vertices where ``dims`` is 1, 0 elsewhere, identities between neighbours."""
+    maps = tuple(F2Matrix.identity(1) if a and b else F2Matrix.zeros(a, b) for a, b in zip(dims, dims[1:]))
+    return Representation(len(dims), dims, maps)
+
+
 def zero_rep(n: int) -> Representation:
-    return Representation(n, (0,) * n, tuple(F2Matrix.zeros(0, 0) for _ in range(n - 1)))
+    return _support_rep((0,) * n)
 
 
 def module_of(x: Interval, n: int) -> Representation:
     """The interval module: GF(2) on the support of x, identities inside."""
     if x.b > n:
         raise ValueError(f"interval {x} does not fit inside {{1..{n}}}")
-    dims = tuple(1 if x.a <= v <= x.b else 0 for v in range(1, n + 1))
-    maps = []
-    for k in range(n - 1):
-        if dims[k] and dims[k + 1]:
-            maps.append(F2Matrix.identity(1))
-        else:
-            maps.append(F2Matrix.zeros(dims[k], dims[k + 1]))
-    return Representation(n, dims, tuple(maps))
+    return _support_rep(tuple(1 if x.a <= v <= x.b else 0 for v in range(1, n + 1)))
 
 
 def direct_sum(reps: Sequence[Representation], n: Optional[int] = None) -> Representation:
@@ -285,23 +286,18 @@ def canonical_morphism(source: Interval, target: Interval, n: int) -> RepMorphis
     return morphism_between_sums(n, [source], [target], {(0, 0): 1})
 
 
-# Memos (module docstring).  The n = 4 and n = 5 sweeps have 19 distinct
-# blocks of each kind and 277 and 286 distinct squares, so 1024 and 4096
-# leave room for the random maps of the tests; they have 1,203 and 3,883
-# distinct kernel and cokernel representations, so the 8192 of
-# ``_from_maps`` and ``barcode`` holds a whole n = 5 sweep.
-_kernel_basis = lru_cache(maxsize=1024)(F2Matrix.kernel_basis)
-_left_kernel_basis = lru_cache(maxsize=1024)(F2Matrix.left_kernel_basis)
-_column_space = lru_cache(maxsize=1024)(F2Matrix.column_space)
-
-
+# Memos (module docstring).  The n = 4 and n = 5 sweeps have 277 and 286
+# distinct squares of each kind, so 4096 leaves room for the random maps of
+# the tests, and 1,203 and 3,883 distinct kernel and cokernel
+# representations, so the 8192 of ``_from_maps`` and ``barcode`` holds either.
 @lru_cache(maxsize=4096)
 def _sub_square(basis_of, block: F2Matrix, next_block: F2Matrix, arrow: F2Matrix) -> F2Matrix:
     """The map that ``arrow`` induces between the spans of ``basis_of`` of two neighbouring blocks.
 
-    ``basis_of`` is ``_kernel_basis`` or ``_column_space``, whose basis is
-    the identity on its rows at the units, so the induced map is read off
-    those rows of the arrow applied to the next basis (module docstring).
+    ``basis_of`` is ``F2Matrix.kernel_basis`` or ``F2Matrix.column_space``,
+    whose basis is the identity on its rows at the units, so the induced
+    map is read off those rows of the arrow applied to the next basis
+    (module docstring).
     """
     return _interned(rows_at_units(*basis_of(block), arrow @ basis_of(next_block)[0]))
 
@@ -314,7 +310,7 @@ def _quotient_square(block: F2Matrix, next_block: F2Matrix, arrow: F2Matrix) -> 
     induced map is read off the previous basis applied to the arrow
     (module docstring).
     """
-    return _interned(columns_at_units(*_left_kernel_basis(next_block), _left_kernel_basis(block)[0] @ arrow))
+    return _interned(columns_at_units(*next_block.left_kernel_basis(), block.left_kernel_basis()[0] @ arrow))
 
 
 @lru_cache(maxsize=8192)
@@ -330,29 +326,24 @@ def _from_maps(maps: tuple[F2Matrix, ...], last: int) -> Representation:
 def _subrepresentation(basis_of, blocks: Sequence[F2Matrix], ambient: Representation) -> Representation:
     """The subrepresentation of ``ambient`` spanned at each vertex v by ``basis_of(blocks[v])``."""
     maps = tuple(_sub_square(basis_of, blocks[k], blocks[k + 1], ambient.maps[k]) for k in range(ambient.n - 1))
-    return _from_maps(maps, basis_of(blocks[-1])[0].ncols)
+    return _from_maps(maps, maps[-1].ncols if maps else basis_of(blocks[0])[0].ncols)
 
 
 def kernel_rep(f: RepMorphism) -> Representation:
     """Vertexwise kernel with the induced arrow maps."""
-    return _subrepresentation(_kernel_basis, f.blocks, f.source)
+    return _subrepresentation(F2Matrix.kernel_basis, f.blocks, f.source)
 
 
 def cokernel_rep(f: RepMorphism) -> Representation:
     """Vertexwise cokernel with the induced arrow maps."""
     blocks = f.blocks
     maps = tuple(_quotient_square(blocks[k], blocks[k + 1], f.target.maps[k]) for k in range(f.n - 1))
-    return _from_maps(maps, _left_kernel_basis(blocks[-1])[0].nrows)
+    return _from_maps(maps, maps[-1].ncols if maps else blocks[0].left_kernel_basis()[0].nrows)
 
 
 def image_rep(f: RepMorphism) -> Representation:
     """Vertexwise image with the induced arrow maps."""
-    return _subrepresentation(_column_space, f.blocks, f.target)
-
-
-# One shared Interval per (a, b) for the barcodes that the memo keeps; 1024
-# holds every interval up to n = 44.
-_bar = lru_cache(maxsize=1024)(Interval)
+    return _subrepresentation(F2Matrix.column_space, f.blocks, f.target)
 
 
 @lru_cache(maxsize=8192)
@@ -398,7 +389,7 @@ def barcode(rep: Representation) -> tuple[Interval, ...]:
             check[v] += 1
     if tuple(check) != dims:
         raise AssertionError(f"barcode does not add up to dims in {rep.debug_text()}")
-    return tuple([_bar(a, b) for b, a in bars])
+    return tuple([Interval(a, b) for b, a in bars])
 
 
 def hom_space_dim(x_rep: Representation, y_rep: Representation) -> int:
@@ -478,63 +469,32 @@ def generated_submodule(rep: Representation, generators: Iterable[tuple[int, int
         for vec in buckets[v]:
             buckets[v - 1].append(m.mat_vec(vec))
     spans = [F2Matrix(len(buckets[v]), rep.dims[v], buckets[v]).transpose() for v in range(n)]
-    incl = tuple(_column_space(g)[0] for g in spans)
-    return RepMorphism(_subrepresentation(_column_space, spans, rep), rep, incl)
+    incl = tuple(g.column_space()[0] for g in spans)
+    return RepMorphism(_subrepresentation(F2Matrix.column_space, spans, rep), rep, incl)
 
 
-def _support_candidate(x: Interval, n: int, chosen: int) -> tuple[Representation, tuple[F2Matrix, ...]]:
-    """Rank-one subfamily of module_of(x) from a support choice bitmask."""
+def _support_inclusions(x: Interval, n: int) -> Iterator[RepMorphism]:
+    """The inclusions into module_of(x, n) of its submodules that are GF(2) or 0 at each vertex.
+
+    Every choice of support inside x, the empty one included, is tried; a
+    choice is kept when its inclusion commutes with the arrows.
+    """
     whole = module_of(x, n)
-    dims = tuple(1 if (x.a <= v <= x.b and (chosen >> (v - x.a)) & 1) else 0 for v in range(1, n + 1))
-    maps = []
-    for k in range(n - 1):
-        if dims[k] and dims[k + 1]:
-            maps.append(F2Matrix.identity(1))
-        else:
-            maps.append(F2Matrix.zeros(dims[k], dims[k + 1]))
-    cand = Representation(n, dims, tuple(maps))
-    blocks = tuple(
-        F2Matrix.identity(1) if dims[v] else F2Matrix.zeros(whole.dims[v], 0)
-        for v in range(n)
-    )
-    return cand, blocks
+    for chosen in range(1 << (x.b - x.a + 1)):
+        dims = tuple(1 if x.a <= v <= x.b and chosen >> (v - x.a) & 1 else 0 for v in range(1, n + 1))
+        blocks = tuple(F2Matrix.identity(1) if d else F2Matrix.zeros(w, 0) for d, w in zip(dims, whole.dims))
+        try:
+            incl = RepMorphism(_support_rep(dims), whole, blocks)
+        except ValueError:
+            continue
+        yield incl
 
 
 def interval_submodule_barcodes(x: Interval, n: int) -> list[tuple[Interval, ...]]:
-    """Barcodes of all nonzero submodules of an interval module.
-
-    Enumerates every support choice, keeps the ones whose inclusion into the
-    module is a genuine morphism, and reads off the barcode.
-    """
-    whole = module_of(x, n)
-    width = x.b - x.a + 1
-    found = []
-    for chosen in range(1, 1 << width):
-        cand, blocks = _support_candidate(x, n, chosen)
-        try:
-            incl = RepMorphism(cand, whole, blocks)
-        except ValueError:
-            continue
-        found.append(barcode(incl.source))
-    return sorted(found)
+    """Barcodes of all nonzero submodules of an interval module, by exhaustive support enumeration."""
+    return sorted(bars for incl in _support_inclusions(x, n) if (bars := barcode(incl.source)))
 
 
 def interval_quotient_barcodes(x: Interval, n: int) -> list[tuple[Interval, ...]]:
-    """Barcodes of all nonzero quotients of an interval module.
-
-    Quotients are computed as cokernels of the submodule inclusions found by
-    exhaustive support enumeration (plus the zero submodule).
-    """
-    whole = module_of(x, n)
-    width = x.b - x.a + 1
-    found = []
-    for chosen in range(0, 1 << width):
-        cand, blocks = _support_candidate(x, n, chosen)
-        try:
-            incl = RepMorphism(cand, whole, blocks)
-        except ValueError:
-            continue
-        bars = barcode(cokernel_rep(incl))
-        if bars:
-            found.append(bars)
-    return sorted(found)
+    """Barcodes of all nonzero quotients of an interval module: the cokernels of its submodule inclusions."""
+    return sorted(bars for incl in _support_inclusions(x, n) if (bars := barcode(cokernel_rep(incl))))

@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from intervalcat import oracle
+from intervalcat import gf2, oracle
 from intervalcat.gf2 import F2Matrix
 from intervalcat.intervals import (
     Interval,
@@ -151,9 +151,8 @@ def test_lists_are_stored_as_tuples():
 
 
 MEMOS = (
-    oracle._block, oracle._shared_sum, oracle._kernel_basis, oracle._left_kernel_basis,
-    oracle._column_space, oracle._sub_square, oracle._quotient_square, oracle._from_maps,
-    oracle.barcode, oracle._bar,
+    oracle._block, oracle._shared_sum, oracle._sub_square, oracle._quotient_square,
+    oracle._from_maps, oracle.barcode,
 )
 
 
@@ -218,6 +217,46 @@ def test_equal_inputs_give_the_same_objects():
     assert oracle._shared_sum((Interval(1, 3),), n)[0].maps[0] is one
     assert kernel.maps[0] is one
     assert all(m is oracle._interned(m) for rep in (kernel, cokernel, image_rep(f)) for m in rep.maps)
+
+
+def test_memo_hits_do_no_elimination(monkeypatch):
+    # Bases are solved only on a square miss, and the dimension at vertex n
+    # is read off the last induced map, so a morphism rebuilt from equal
+    # summands and coefficients finds every representation and barcode
+    # with no elimination.  Cleared first, so that nothing is evicted
+    # between the two passes.
+    for memo in MEMOS:
+        memo.cache_clear()
+    rng = random.Random(53)
+    cases = []
+    for n in range(2, 6):
+        pool = all_intervals(n)
+        for _ in range(20):
+            srcs = random_sum_members(rng, pool, 3)
+            tgts = random_sum_members(rng, pool, 3)
+            coeffs = random_morphism_coeffs(rng, srcs, tgts)
+            f = morphism_between_sums(n, srcs, tgts, coeffs)
+            reps = (kernel_rep(f), cokernel_rep(f), image_rep(f))
+            cases.append((n, srcs, tgts, coeffs, reps, tuple(barcode(rep) for rep in reps)))
+
+    def eliminate(rows, ncols):
+        raise AssertionError("eliminated")
+
+    monkeypatch.setattr(gf2, "_eliminate", eliminate)
+    for n, srcs, tgts, coeffs, reps, bars in cases:
+        g = morphism_between_sums(n, tuple(srcs), list(tgts), dict(coeffs))
+        again = (kernel_rep(g), cokernel_rep(g), image_rep(g))
+        assert all(a is b for a, b in zip(again, reps)), (srcs, tgts)
+        assert tuple(barcode(rep) for rep in again) == bars, (srcs, tgts)
+    # n = 1 has no arrow, so the dimension at its vertex comes from a basis.
+    one = Interval(1, 1)
+    f = morphism_between_sums(1, [one, one], [one, one], {(0, 0): 1, (1, 0): 1})
+    for rep_of in (kernel_rep, cokernel_rep):
+        with pytest.raises(AssertionError, match="eliminated"):
+            rep_of(f)
+    monkeypatch.undo()
+    assert barcode(kernel_rep(f)) == kernel_bars_by_ranks(f) == (one,)
+    assert barcode(cokernel_rep(f)) == cokernel_bars_by_ranks(f) == (one,)
 
 
 def test_memos_store_no_failure():
