@@ -36,7 +36,7 @@ _ALGORITHM_HELP = (
 )
 _VERIFY_HELP = "cross-check against the subset sweep (against next-closure for --algorithm brute); n <= 6"
 _POSET_CHECKS = ("ideals", "subfunctors", "incidence")
-_LIST_BATCH = 4096  # least sets per write of ``list``, whole parents
+_LIST_BATCH = 4096  # least sets per write of ``list``, whole groups
 
 
 def _positive(name: str, value: int) -> int:
@@ -141,15 +141,20 @@ class _LayerTexts(dict):
 
 
 def cmd_list(args: argparse.Namespace) -> int:
-    """Print the closed sets as they are walked, whole parents and at least ``_LIST_BATCH`` sets to a write.
+    """Print the closed sets as they are walked, whole groups and at least ``_LIST_BATCH`` sets to a write.
 
     Both formats are ``head + join.join(texts) + tail``: lines of interval
     texts for text, and for JSON the ``sets`` array of index lists, each
     set's indices joined by ``", "`` and the sets by ``"], ["``.  The walk
-    hands out the sets of one last-level parent x as one group, the x | top;
-    they share every layer below the top, so the text of x is joined once
-    for the group, from one ``_LayerTexts`` table, and each set adds the
-    text of its top layer.
+    hands out the sets of one last-level parent x as one group, the
+    x | top, whose first top is the empty layer.  Every set of a group
+    starts with the text of x, the prefix, so the group's text is the
+    prefix followed by one join, by ``join + prefix + sep``, of the texts
+    of its tops, the empty layer's "" first.  The walk hands out one
+    ``tops`` tuple per level and family, so those texts are kept per tuple.
+    Layer texts come from one ``_LayerTexts`` table, and the text of the
+    layers of x below its last is joined again only when they change: the
+    walk is depth first, so sibling groups share it.
     """
     spec = ClosureSpec.parse(args.ops)
     n = _positive("--n", args.n)
@@ -160,19 +165,32 @@ def cmd_list(args: argparse.Namespace) -> int:
         names, sep = _interval_texts(n), ";"
         head, join, tail = "", "\n", "\n"
     texts = _LayerTexts(names, sep)
-    lows = _layer_masks(n - 1)
+    lows = _layer_masks(n - 2)
+    below = sum(lows)
+    seen = -1
+    # top_texts[tops]: the texts of the top layers of a group; texts[0], the empty layer, is ""
+    top_texts: dict[tuple[int, ...], list[str]] = {}
     out = sys.stdout
     out.write(head)
     lead = ""
     batch: list[str] = []
+    count = 0
     for x, tops in closed_groups(n, spec):
-        prefix = sep.join([text for low in lows if (text := texts[x & low])])
-        start = prefix + sep if prefix else ""
-        batch += [start + texts[top] if top else prefix for top in tops]
-        if len(batch) >= _LIST_BATCH:
+        if x & below != seen:
+            seen = x & below
+            base = sep.join([text for low in lows if (text := texts[x & low])])
+        last = texts[x & ~below]
+        prefix = f"{base}{sep}{last}" if base and last else base or last
+        items = top_texts.get(tops)
+        if items is None:
+            items = top_texts[tops] = [texts[top] for top in tops]
+        batch.append(prefix + (f"{join}{prefix}{sep}" if prefix else join).join(items))
+        count += len(tops)
+        if count >= _LIST_BATCH:
             out.write(lead + join.join(batch))
             lead = join
             batch = []
+            count = 0
     if batch:
         out.write(lead + join.join(batch))
     out.write(tail)

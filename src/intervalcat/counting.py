@@ -97,8 +97,6 @@ from dataclasses import dataclass
 from math import comb, factorial
 from typing import Iterator, Optional
 
-import numpy as np
-
 from .closure import ClosureSpec, RuleTable, _essential_flags, build_table
 from .errors import CapExceeded
 from .intervals import IntervalSet, _iter_bits, _layer_masks, universe_size
@@ -131,6 +129,13 @@ def _lectic_masks(table: RuleTable) -> Iterator[tuple[int, tuple[int, ...]]]:
     leaves are exactly the closed sets.  Nothing is merged and no closure
     is made.
 
+    The last level is read inline: a node at depth n - 2 settles the last
+    level's rules once, then reads the family of each child in turn and
+    yields its group, so no parent at depth n - 1 goes on the stack.  When
+    the settle leaves no rule open, as for E, CE, KE and CKE, that family
+    is the read for the child's last layer less the settled exclusions,
+    with no ``_layer_family`` call.
+
     Layer d holds the indices below those of layer d + 1, so the lowest
     index where two leaves differ lies in their first differing layer, and
     the later set is the one whose layer there holds the lowest element
@@ -150,22 +155,33 @@ def _lectic_masks(table: RuleTable) -> Iterator[tuple[int, tuple[int, ...]]]:
         revs.append([r << 1 for r in rev] + [r << 1 | 1 for r in rev])
     # orders[level][family]: the layers of the family, shifted into place, in lectic order
     orders: list[dict[int, tuple[int, ...]]] = [{} for _ in range(last + 1)]
-    # (depth, X, last layer of X in place, rules of that level settled by the parent of X)
+
+    def ordered(level: int, family: int) -> tuple[int, ...]:
+        shift = level * (level + 1) // 2
+        rising = sorted(_iter_bits(family), key=revs[level].__getitem__)
+        layers = orders[level][family] = tuple([layer << shift for layer in rising])
+        return layers
+
+    if last == 0:
+        yield 0, ordered(0, reads[0][0])
+        return
+    read, order = reads[last], orders[last]
+    # (depth, X, last layer of X in place, rules of that level settled by the parent of X),
+    # for depths up to n - 2
     stack = [(0, 0, 0, 0, rests[0])]
     while stack:
         level, x, top, forced, live = stack.pop()
-        shift = level * (level + 1) // 2
         family = _layer_family(reads[level][top], forced, live, x)
-        layers = orders[level].get(family)
-        if layers is None:
-            ordered = sorted(_iter_bits(family), key=revs[level].__getitem__)
-            layers = orders[level][family] = tuple([layer << shift for layer in ordered])
-        if level == last:
-            yield x, layers
-        else:
-            forced, live = _settle(rests[level + 1], x, (1 << shift) - 1)
-            level += 1
+        layers = orders[level].get(family) or ordered(level, family)
+        level += 1
+        forced, live = _settle(rests[level], x, (1 << level * (level - 1) // 2) - 1)
+        if level < last:
             stack.extend([(level, x | top, top, forced, live) for top in reversed(layers)])
+            continue
+        for top in layers:
+            grown = x | top
+            family = _layer_family(read[top], forced, live, grown) if live else read[top] & ~forced
+            yield grown, order.get(family) or ordered(last, family)
 
 
 def closed_groups(n: int, spec: ClosureSpec) -> Iterator[tuple[int, tuple[int, ...]]]:
@@ -385,6 +401,8 @@ def count_brute(n: int, spec: ClosureSpec) -> int:
     size = universe_size(n)
     if size > BRUTE_CAP_BITS:
         raise CapExceeded(f"the subset sweep at n={n} needs {size} bits, cap is {BRUTE_CAP_BITS}")
+    import numpy as np  # here, not at the top: sequence, list, count and check start without it
+
     table = build_table(n, spec)
     low = min(size, _LOW_BITS)
     high = size - low
@@ -497,6 +515,8 @@ def lattice(n: int, spec: ClosureSpec, max_members: int = LATTICE_CAP) -> Closed
         count += len(tops)
         if count > max_members:
             raise CapExceeded(f"more than {max_members} closed sets; raise the cap to materialise")
+    import numpy as np
+
     masks = [x | top for x, tops in groups for top in tops]
     size = universe_size(n)
     # one bit transpose: member rows of element bits to element rows of member bits

@@ -182,18 +182,56 @@ def test_count_is_the_last_term_of_sequence(capsys, algorithm):
             assert (code, f"{n} {out}", err) == (0, row.splitlines(keepends=True)[-1], ""), (ops, n)
 
 
+def _fresh_env() -> dict[str, str]:
+    """The environment of a fresh interpreter that imports this package."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_closed_stdout_exits_141_quietly(fmt):
     # the reader goes away after the first bytes: exit as SIGPIPE would, with nothing on stderr
-    src = str(Path(cli.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     argv = [sys.executable, "-m", "intervalcat.cli", "list", "--ops", "E", "--n", "8", "--format", fmt]
-    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_fresh_env())
     assert proc.stdout.read(10)
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()
     assert (proc.wait(timeout=60), err) == (141, b"")
+
+
+_NUMPY_PROBE = """
+import contextlib, io, json, sys
+from intervalcat.cli import main
+calls = [
+    ["sequence", "--ops", "C", "--n-max", "4"],
+    ["list", "--ops", "E", "--n", "3", "--format", "json"],
+    ["count", "--ops", "CK", "--n", "4"],
+    ["check", "--ops", "E", "--n", "2", "--set", "1,1;2,2"],
+    ["count", "--ops", "CK", "--n", "3", "--algorithm", "brute"],
+    ["lattice", "--ops", "QE", "--n", "3", "--format", "json"],
+]
+report = []
+for argv in calls:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    report.append([code, out.getvalue(), "numpy" in sys.modules])
+print(json.dumps(report))
+"""
+
+
+def test_only_the_sweep_and_lattice_import_numpy():
+    # a fresh process: the test process has numpy loaded already
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE], capture_output=True, text=True, env=_fresh_env(), timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert [code for code, _, _ in report] == [0] * 6
+    assert [loaded for _, _, loaded in report] == [False, False, False, False, True, True]
+    assert report[4][1] == "22\n"
+    assert len(json.loads(report[5][1])["members"]) == 14
 
 
 def test_list(capsys):

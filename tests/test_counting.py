@@ -175,6 +175,27 @@ def test_lectic_stream_on_families_that_recur_across_levels():
         assert stream == _lectic_sorted(closed_masks(n, premises), universe_size(n)), (n, rules)
 
 
+def test_groups_start_empty_in_lectic_order_with_distinct_parents_all_specs():
+    """Each group's tops begin with the empty layer and rise strictly in lectic order; no parent repeats.
+
+    ``list`` writes a group as its parent's text followed by one join over
+    the texts of the other tops, which needs the first of these.
+    """
+    for s in all_specs():
+        for n in range(1, 7):
+            parents = []
+            checked = set()
+            for x, tops in counting.closed_groups(n, s):
+                parents.append(x)
+                if tops in checked:
+                    continue
+                checked.add(tops)
+                assert tops[0] == 0, (str(s), n, tops)
+                # the later of two sets holds the lowest index where they differ
+                assert all(b & (a ^ b) & -(a ^ b) for a, b in zip(tops, tops[1:])), (str(s), n, tops)
+            assert len(set(parents)) == len(parents), (str(s), n)
+
+
 def _layer_start(level: int) -> int:
     return level * (level + 1) // 2
 
