@@ -485,8 +485,6 @@ def sequence(spec: ClosureSpec, n_max: int, algorithm: str = "layers") -> tuple[
 class ClosedFamily:
     """All closed sets for one (n, spec) as masks, with the cover relation of inclusion."""
 
-    n: int
-    spec: ClosureSpec
     members: tuple[int, ...]
     covers: tuple[tuple[int, int], ...]
 
@@ -553,4 +551,4 @@ def lattice(n: int, spec: ClosureSpec, max_members: int = LATTICE_CAP) -> Closed
             c = (rest & -rest).bit_length() - 1
             covers.append((j, c))
             rest &= ~above[c]
-    return ClosedFamily(n, spec, tuple(masks), tuple(covers))
+    return ClosedFamily(tuple(masks), tuple(covers))

@@ -76,9 +76,10 @@ this for every a across an arrow, and the live vectors stay independent,
 so the bars counted here are those that the inclusion-exclusion of
 composite ranks gives.  The bars must still add up to ``dims``.
 
-``hom_space_dim``, ``ext_dim``, ``image_rep``, ``generated_submodule``
-and the two support enumerations serve no count: they are the checker, the
-reference that the tests hold the endpoint formulas against.
+``hom_space_dim``, ``ext_dim``, ``image_rep``, ``generated_submodule``,
+the two support enumerations and ``chain_equivalence_check`` (the chain
+check of ``poset``) serve no count: they are the checker, the reference
+that the tests hold the endpoint formulas against.
 """
 
 from __future__ import annotations
@@ -498,3 +499,23 @@ def interval_submodule_barcodes(x: Interval, n: int) -> list[tuple[Interval, ...
 def interval_quotient_barcodes(x: Interval, n: int) -> list[tuple[Interval, ...]]:
     """Barcodes of all nonzero quotients of an interval module: the cokernels of its submodule inclusions."""
     return sorted(bars for incl in _support_inclusions(x, n) if (bars := barcode(cokernel_rep(incl))))
+
+
+def chain_equivalence_check(n: int) -> bool:
+    """Check that quotients of consecutive representables are the intervals.
+
+    For the chain on n elements the representable at b is the interval
+    module [1, b]; for every [a, b] the cokernel of [1, a-1] -> [1, b]
+    (zero source when a == 1) must have barcode {[a, b]}.
+    """
+    for b in range(1, n + 1):
+        target = module_of(Interval(1, b), n)
+        for a in range(1, b + 1):
+            if a == 1:
+                got = barcode(target)
+            else:
+                f = canonical_morphism(Interval(1, a - 1), Interval(1, b), n)
+                got = barcode(cokernel_rep(f))
+            if got != (Interval(a, b),):
+                return False
+    return True

@@ -1,19 +1,18 @@
 """Finite posets: validation, ideals, subfunctor counts and incidence dimensions.
 
-Every report here can come out differently from one finite poset to
-another.  The paper's criterion for an abelian universal category, meets of
-compact ideals are compact, holds on every finite poset (every ideal is a
-finite union of principal ones), so it has no finite check here; nor has
-distributivity, since ideals form a ring of sets.
+Pure order theory on ``down`` masks.  Every report here can come out
+differently from one finite poset to another.  The paper's criterion for
+an abelian universal category, meets of compact ideals are compact, holds
+on every finite poset (every ideal is a finite union of principal ones), so
+it has no finite check here; nor has distributivity, since ideals form a
+ring of sets.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, Optional, Sequence
 
 from .errors import CapExceeded
-from .intervals import Interval
-from .oracle import barcode, canonical_morphism, cokernel_rep, module_of
 
 IDEAL_CAP = 1 << 20
 SUBFUNCTOR_CAP = 1 << 22
@@ -48,12 +47,11 @@ class FinitePoset:
         """Build from generating pairs (x, y) meaning x <= y.
 
         The reflexive-transitive closure is computed; a cycle through
-        distinct elements is rejected with the offending labels.
+        distinct elements is rejected with a shortest closed path of given
+        pairs through the first element on a cycle.
         """
         elems = list(elements)
         index = {e: i for i, e in enumerate(elems)}
-        if len(index) != len(elems):
-            raise ValueError("duplicate element labels")
         pairs = []
         for x, y in relations:
             for lbl in (x, y):
@@ -63,26 +61,18 @@ class FinitePoset:
             pairs.append((index[x], index[y]))
         m = len(elems)
         down = [1 << i for i in range(m)]
-        succ = [0] * m
         for x, y in pairs:
             down[y] |= 1 << x
-            succ[x] |= 1 << y
         for k in range(m):
             bit = 1 << k
             for i in range(m):
                 if down[i] & bit:
                     down[i] |= down[k]
         for i in range(m):
-            for j in range(m):
-                if i != j and (down[j] >> i) & 1 and (down[i] >> j) & 1:
-                    cycle = _find_cycle(succ, i, j, elems)
-                    raise ValueError(f"not a partial order, cycle: {cycle}")
+            # i lies on a cycle when another element of its lower set has it below too
+            if any(j != i and (down[i] >> j) & 1 and (down[j] >> i) & 1 for j in range(m)):
+                raise ValueError(f"not a partial order, cycle: {_cycle_through(i, pairs, elems)}")
         return cls(elems, down)
-
-    @classmethod
-    def chain(cls, k: int) -> "FinitePoset":
-        """The total order 1 < 2 < ... < k."""
-        return cls(range(1, k + 1), [(1 << (i + 1)) - 1 for i in range(k)])
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -100,22 +90,6 @@ class FinitePoset:
         """Element indices ordered so that every element follows its lower set."""
         return sorted(range(len(self)), key=lambda i: (self.down[i].bit_count(), i))
 
-    def restrict(self, mask: int) -> "FinitePoset":
-        """Induced subposet on the elements selected by the bitmask."""
-        keep = [i for i in range(len(self)) if (mask >> i) & 1]
-        pos = {i: p for p, i in enumerate(keep)}
-        down = []
-        for i in keep:
-            dm = self.down[i] & mask
-            new = 0
-            bits = dm
-            while bits:
-                low = bits & -bits
-                new |= 1 << pos[low.bit_length() - 1]
-                bits ^= low
-            down.append(new)
-        return FinitePoset([self.elements[i] for i in keep], down)
-
     def is_chain(self) -> bool:
         return all(
             (self.down[j] >> i) & 1 or (self.down[i] >> j) & 1
@@ -124,44 +98,39 @@ class FinitePoset:
         )
 
 
-def _find_cycle(succ: Sequence[int], i: int, j: int, elems: Sequence[Hashable]) -> str:
-    """Path i ->* j ->* i through the generating relation, as a label chain."""
-
-    def path(src: int, dst: int) -> list[int]:
-        prev = {src: src}
-        queue = [src]
-        while queue:
-            cur = queue.pop(0)
-            if cur == dst:
-                out = [dst]
-                while out[-1] != src:
-                    out.append(prev[out[-1]])
-                return out[::-1]
-            bits = succ[cur]
-            while bits:
-                low = bits & -bits
-                nxt = low.bit_length() - 1
-                bits ^= low
-                if nxt not in prev:
-                    prev[nxt] = cur
-                    queue.append(nxt)
-        return [src, dst]
-
-    forward = path(i, j)
-    back = path(j, i)
-    labels = [str(elems[k]) for k in forward + back[1:]]
-    return " <= ".join(labels)
+def _cycle_through(i: int, pairs: Sequence[tuple[int, int]], elems: Sequence[Hashable]) -> str:
+    """A shortest closed path i <= ... <= i along the generating pairs, as a label chain."""
+    prev: dict[int, int] = {}
+    queue = [i]
+    for cur in queue:
+        for x, y in pairs:
+            if x == cur and y != cur and y not in prev:
+                prev[y] = cur
+                queue.append(y)
+        if i in prev:
+            break
+    path = [i, prev[i]]
+    while path[-1] != i:
+        path.append(prev[path[-1]])
+    return " <= ".join(str(elems[k]) for k in reversed(path))
 
 
-def ideals(p: FinitePoset) -> tuple[int, ...]:
-    """All downward closed subsets as element bitmasks, by size then value.
+def ideals(p: FinitePoset, within: Optional[int] = None) -> tuple[int, ...]:
+    """All downward closed subsets of ``within`` as element bitmasks, by size then value.
 
-    Processes elements along a linear extension: an ideal either omits the
-    new element or contains it together with its strict lower set.  More
-    than ``IDEAL_CAP`` ideals raise CapExceeded.
+    ``within`` must be down-closed, and defaults to every element; its
+    ideals are those of the sub-poset on it, so ``ideals(p, p.down[i])``
+    are the ideals below element i.  Processes the elements of ``within``
+    along a linear extension: an ideal either omits the new element or
+    contains it together with its strict lower set.  More than
+    ``IDEAL_CAP`` ideals raise CapExceeded.
     """
+    if within is None:
+        within = (1 << len(p)) - 1
     masks = [0]
     for i in p.linear_extension():
+        if not (within >> i) & 1:
+            continue
         need = p.down[i] & ~(1 << i)
         grown = [m | (1 << i) for m in masks if m & need == need]
         masks.extend(grown)
@@ -204,26 +173,6 @@ def subfunctor_count(p: FinitePoset, x: Hashable) -> int:
 def incidence_dimension(p: FinitePoset) -> int:
     """Dimension of the incidence algebra: one basis element per comparable pair x <= y."""
     return sum(d.bit_count() for d in p.down)
-
-
-def chain_equivalence_check(n: int) -> bool:
-    """Check that quotients of consecutive representables are the intervals.
-
-    For the chain on n elements the representable at b is the interval
-    module [1, b]; for every [a, b] the cokernel of [1, a-1] -> [1, b]
-    (zero source when a == 1) must have barcode {[a, b]}.
-    """
-    for b in range(1, n + 1):
-        target = module_of(Interval(1, b), n)
-        for a in range(1, b + 1):
-            if a == 1:
-                got = barcode(target)
-            else:
-                f = canonical_morphism(Interval(1, a - 1), Interval(1, b), n)
-                got = barcode(cokernel_rep(f))
-            if got != (Interval(a, b),):
-                return False
-    return True
 
 
 def parse_poset(text: str) -> FinitePoset:

@@ -91,6 +91,23 @@ class TestRuleInstances:
             three = [p for p, _ in rule_instances(6, spec) if p.bit_count() == 3]
             assert bool(three) == (_essential_flags(spec) in ({"C"}, {"K"})), str(spec)
 
+    def test_every_rule_lies_in_one_linked_class(self):
+        # Two intervals are linked when they share a vertex and, for specs with E, also when
+        # adjacent ([a, b] and [b+1, c]); the premises and conclusions of a rule are one class.
+        for spec in all_specs():
+            adjacent = "E" in spec.flags
+            for n in range(1, 10):
+                ivs = all_intervals(n)
+                for prem, conc in rule_instances(n, spec):
+                    members = [ivs[i] for i in range(len(ivs)) if (prem | conc) >> i & 1]
+                    linked = [members[0]]
+                    for u in linked:
+                        for v in members:
+                            touch = u.a <= v.b and v.a <= u.b or adjacent and (u.b + 1 == v.a or v.b + 1 == u.a)
+                            if touch and v not in linked:
+                                linked.append(v)
+                    assert len(linked) == len(members), (str(spec), n, members)
+
 
 def _is_closed_by_instances(s: IntervalSet, spec: ClosureSpec) -> bool:
     """Reference semantics straight off the public instance list."""

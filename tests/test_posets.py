@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import json
+import os
 import random
+import re
+import subprocess
+import sys
 
 import pytest
 
 import intervalcat.posets as posets
 from intervalcat.errors import CapExceeded
+from intervalcat.oracle import chain_equivalence_check
 from intervalcat.posets import (
     FinitePoset,
-    chain_equivalence_check,
     ideals,
     incidence_dimension,
     parse_poset,
@@ -25,6 +30,11 @@ DIAMOND_M3 = FinitePoset.from_relations(
 PENTAGON_N5 = FinitePoset.from_relations(
     "0xyz1", [("0", "x"), ("x", "1"), ("0", "y"), ("y", "z"), ("z", "1")]
 )
+
+
+def chain(k: int) -> FinitePoset:
+    """The total order 1 < 2 < ... < k."""
+    return FinitePoset(range(1, k + 1), [(1 << (i + 1)) - 1 for i in range(k)])
 
 
 def antichain(k: int) -> FinitePoset:
@@ -48,21 +58,35 @@ class TestConstruction:
         with pytest.raises(ValueError):
             FinitePoset.from_relations(["a", "a"], [])
 
-    def test_chain_antichain(self):
-        assert FinitePoset.chain(3).is_chain()
-        assert not antichain(2).is_chain()
-        assert FinitePoset.chain(1).is_chain()
+    def test_random_cycles_are_named_as_closed_paths(self):
+        # the named path starts and ends at one label, and each step is a given relation
+        rng = random.Random(5)
+        found = 0
+        while found < 200:
+            size = rng.randint(2, 7)
+            labels = [f"p{i}" for i in range(size)]
+            relations = [(x, y) for x in labels for y in labels if rng.random() < 0.2]
+            try:
+                FinitePoset.from_relations(labels, relations)
+            except ValueError as err:
+                found += 1
+                match = re.fullmatch(r"not a partial order, cycle: (.*)", str(err))
+                assert match, err
+                path = match.group(1).split(" <= ")
+                assert len(path) >= 3 and path[0] == path[-1]
+                assert len(set(path)) == len(path) - 1
+                assert all(step in relations for step in zip(path, path[1:]))
 
-    def test_restrict(self):
-        p = FinitePoset.chain(4)
-        sub = p.restrict(p.down[p.index(3)])
-        assert len(sub) == 3 and sub.is_chain()
+    def test_chain_antichain(self):
+        assert chain(3).is_chain()
+        assert not antichain(2).is_chain()
+        assert chain(1).is_chain()
 
 
 class TestIdeals:
     def test_chain_ideals_are_prefixes(self):
         for k in (1, 2, 5):
-            assert len(ideals(FinitePoset.chain(k))) == k + 1
+            assert len(ideals(chain(k))) == k + 1
 
     def test_antichain_ideals_are_all_subsets(self):
         assert len(ideals(antichain(2))) == 4
@@ -86,6 +110,16 @@ class TestIdeals:
                 for b in masks:
                     assert (a | b) in masks and (a & b) in masks
 
+    def test_ideals_below_an_element_are_the_ideals_inside_its_lower_set(self):
+        rng = random.Random(13)
+        for _ in range(30):
+            p = random_poset(rng, rng.randint(1, 8))
+            every = ideals(p)
+            for i, label in enumerate(p.elements):
+                below = ideals(p, p.down[i])
+                assert set(below) == {m for m in every if m & ~p.down[i] == 0}
+                assert len(below) == subfunctor_count(p, label)
+
     def test_cap(self, monkeypatch):
         monkeypatch.setattr(posets, "IDEAL_CAP", 100)
         with pytest.raises(CapExceeded):
@@ -94,7 +128,7 @@ class TestIdeals:
 
 class TestSubfunctors:
     def test_chain_examples(self):
-        p = FinitePoset.chain(3)
+        p = chain(3)
         assert subfunctor_count(p, 3) == 4
         assert subfunctor_count(p, 1) == 2
 
@@ -111,8 +145,7 @@ class TestSubfunctors:
         for _ in range(30):
             p = random_poset(rng, rng.randint(1, 8))
             for i, label in enumerate(p.elements):
-                below = p.restrict(p.down[i])
-                assert subfunctor_count(p, label) == len(ideals(below))
+                assert subfunctor_count(p, label) == len(ideals(p, p.down[i]))
 
 
 class TestIncidenceAlgebra:
@@ -120,7 +153,7 @@ class TestIncidenceAlgebra:
         # one basis element per comparable pair x <= y
         assert incidence_dimension(antichain(4)) == 4
         for k in (1, 2, 3, 5):
-            assert incidence_dimension(FinitePoset.chain(k)) == k * (k + 1) // 2
+            assert incidence_dimension(chain(k)) == k * (k + 1) // 2
         assert incidence_dimension(DIAMOND_M3) == 5 + 4 + 3
         assert incidence_dimension(PENTAGON_N5) == 5 + 4 + 4
 
@@ -128,6 +161,18 @@ class TestIncidenceAlgebra:
 def test_chain_equivalence_check():
     for n in range(1, 5):
         assert chain_equivalence_check(n)
+
+
+def test_posets_imports_no_module_representation():
+    # a fresh process: the test process has the oracle loaded already
+    probe = "import json, sys; import intervalcat.posets; print(json.dumps(sorted(sys.modules)))"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(posets.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    assert "intervalcat.posets" in loaded
+    assert not {"intervalcat.oracle", "intervalcat.gf2"} & loaded
 
 
 class TestParsing:
