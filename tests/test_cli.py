@@ -234,6 +234,16 @@ def test_only_the_sweep_and_lattice_import_numpy():
     assert len(json.loads(report[5][1])["members"]) == 14
 
 
+def test_posets_imports_no_module_representation():
+    # a fresh process: the test process has the oracle loaded already
+    probe = "import json, sys; import intervalcat.posets; print(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=_fresh_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    assert "intervalcat.posets" in loaded
+    assert not {"intervalcat.oracle", "intervalcat.gf2"} & loaded
+
+
 def test_list(capsys):
     code, out, _ = run(capsys, "list", "--n", "2", "--ops", "Q")
     assert code == 0

