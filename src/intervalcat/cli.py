@@ -27,7 +27,6 @@ from .counting import (
 )
 from .errors import CapExceeded
 from .intervals import IntervalSet, _interval_texts, _iter_bits, _layer_masks, all_intervals, universe_size
-from .oracle import chain_equivalence_check
 from .posets import SUBFUNCTOR_CAP, ideals, incidence_dimension, load_poset, subfunctor_count
 
 _ALGORITHMS = ("layers", "next-closure", "brute")
@@ -268,6 +267,8 @@ def cmd_poset(args: argparse.Namespace) -> int:
     if "incidence" in checks:
         print(f"incidence_dimension = {incidence_dimension(p)}")
     if "chain" in checks:
+        from .oracle import chain_equivalence_check  # here, not at the top: no other command loads the oracle
+
         print(f"chain_equivalence = {str(chain_equivalence_check(len(p))).lower()}")
     return 0
 

@@ -1,10 +1,11 @@
 """Dense GF(2) matrices with bit-packed rows (bit j of rows[i] is entry i,j).
 
-The basis routines (``kernel_basis``, ``left_kernel_basis``,
-``column_space``) return with each basis the positions where it is the
-identity.  A linear system against such a basis is then not solved by a
-second elimination: ``rows_at_units`` and ``columns_at_units`` read the
-solution off those positions and check it by one product.
+One elimination (``_eliminate``) serves every routine.  The two basis
+routines (``kernel_basis``, ``column_space``) return with each basis the
+rows where it is the identity.  A linear system against such a basis is
+then not solved by a second elimination: ``rows_at_units`` reads the
+solution off those rows and checks it by one product.  A left kernel is
+read as the kernel of the transpose.
 
 Which constructions validate their rows:
 
@@ -24,13 +25,9 @@ Which constructions validate their rows:
     below 2**other.ncols.
   - ``kernel_basis``: bit k is set only for the k-th free column, k below
     the number of basis vectors.
-  - ``left_kernel_basis``: each output row is a row tag shifted down past
-    the ncols data bits, and tags only carry bits for row indices i < nrows.
   - ``column_space``: the transpose of reduced rows of the transpose, whose
     bits stay below nrows.
   - ``rows_at_units``: each output row is a row of rhs, below 2**rhs.ncols.
-  - ``columns_at_units``: output row bit i comes from the i-th unit, i below
-    the number of units.
   - ``block_diag``: each block's rows are shifted by the widths of the
     blocks before it, so they stay below the total width.
 
@@ -160,30 +157,6 @@ class F2Matrix:
             free.append(f)
         return F2Matrix._new(ncols, len(free), tuple(rows)), tuple(free)
 
-    def left_kernel_basis(self) -> tuple["F2Matrix", tuple[int, ...]]:
-        """Rows spanning the left null space {y : y @ self = 0}, and their unit columns.
-
-        Row i is tagged with bit ncols + i; after elimination on the first
-        ncols bits the rows without data bits carry the combinations of the
-        rows of self that vanish.  Every row that becomes a pivot takes the
-        tag bit of one original row with it, and the tags of pivot rows
-        touch only those bits.  So each left-kernel row holds exactly one
-        untouched bit, its own row's, and no other left-kernel row holds
-        it: column ``units[i]`` of the basis is the unit vector e_i (see
-        ``columns_at_units``).
-        """
-        width = self.ncols
-        reduced, pivots = _eliminate(_tagged(self.rows, width), width)
-        rank = len(pivots)
-        touched = 0
-        for r in reduced[:rank]:
-            touched |= r
-        rows, units = [], []
-        for r in reduced[rank:]:
-            rows.append(r >> width)
-            units.append((r & ~touched).bit_length() - 1 - width)
-        return F2Matrix._new(self.nrows - rank, self.nrows, tuple(rows)), tuple(units)
-
     def column_space(self) -> tuple["F2Matrix", tuple[int, ...]]:
         """Columns forming a basis of the column span, and their pivot rows.
 
@@ -198,11 +171,6 @@ class F2Matrix:
 # Slot setters that bypass the immutability guard of __setattr__; only
 # __init__ and _new use them.
 _set_nrows, _set_ncols, _set_rows, _set_hash = (getattr(F2Matrix, slot).__set__ for slot in F2Matrix.__slots__)
-
-
-def _tagged(rows: Sequence[int], width: int) -> list[int]:
-    """Rows with row index i recorded in bit width + i."""
-    return [r | (1 << (width + i)) for i, r in enumerate(rows)]
 
 
 def _eliminate(rows: list[int], ncols: int) -> tuple[list[int], list[int]]:
@@ -256,28 +224,6 @@ def rows_at_units(basis: F2Matrix, units: Sequence[int], rhs: F2Matrix) -> F2Mat
     if mul_rows(basis.rows, x) != list(rhs.rows):
         raise ValueError("inconsistent linear system")
     return F2Matrix._new(len(units), rhs.ncols, tuple(x))
-
-
-def columns_at_units(basis: F2Matrix, units: Sequence[int], rhs: F2Matrix) -> F2Matrix:
-    """The X with X @ basis = rhs, for a basis whose column ``units[i]`` is e_i.
-
-    Column ``units[i]`` of X @ basis is column i of X, so X is read off as
-    the columns of rhs at the units; one product checks it and raises
-    ValueError when rhs is not in the row span of the basis.
-    """
-    if rhs.ncols != basis.ncols:
-        raise ValueError(f"rhs has {rhs.ncols} columns, expected {basis.ncols}")
-    picks = [(1 << u, 1 << i) for i, u in enumerate(units)]
-    x = []
-    for r in rhs.rows:
-        acc = 0
-        for unit, bit in picks:
-            if r & unit:
-                acc |= bit
-        x.append(acc)
-    if mul_rows(x, basis.rows) != list(rhs.rows):
-        raise ValueError("inconsistent linear system")
-    return F2Matrix._new(rhs.nrows, len(units), tuple(x))
 
 
 def rank_of_rows(rows: Iterable[int], ncols: int) -> int:

@@ -17,16 +17,20 @@ morphism.  The commutation check and ``barcode`` multiply bit-packed row
 lists (``gf2.mul_rows``) instead of building a matrix for every product.
 
 No second elimination.  The basis routines of ``gf2`` hand over the
-positions where their basis is the identity: the free rows of a kernel
-basis, the unit columns of a left-kernel basis, the pivot rows of a
-column-space basis.  ``kernel_rep``, ``cokernel_rep``, ``image_rep`` and
-``generated_submodule`` read every induced arrow map off those positions
+rows where their basis is the identity: the free rows of a kernel basis,
+the pivot rows of a column-space basis.  ``kernel_rep``, ``image_rep``
+and ``generated_submodule`` read every induced arrow map off those rows
 of the arrow composed with the neighbouring basis, solving no system
-(``gf2.rows_at_units``, ``gf2.columns_at_units``).  One product of
-the basis with the map read off checks it against that composite; it fails,
-with ValueError("inconsistent linear system"), exactly when the arrow does
-not carry the subspace into the subspace, or the quotient onto the
-quotient, which can happen only when the blocks do not commute.
+(``gf2.rows_at_units``).  Cokernel squares are transposed kernel squares:
+a functional on the target vanishes on the image of a block B exactly
+when it lies in the kernel of B^T, so the dual of coker(B_k) is ker(B_k^T),
+the transposed arrow A_k^T runs between those kernels from vertex k to
+k + 1, and the cokernel square of (B_k, B_{k+1}, A_k) is the transpose of
+the kernel square of (B_{k+1}^T, B_k^T, A_k^T).  One product of the basis
+with the map read off checks it against that composite; it fails, with
+ValueError("inconsistent linear system"), exactly when the arrow does not
+carry the subspace into the subspace, or the image into the image, which
+can happen only when the blocks do not commute.
 
 Each distinct block, square and representation is built, checked and
 solved once (hash consing: Filliatre and Conchon, ML Workshop 2006).  A
@@ -88,7 +92,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .gf2 import F2Matrix, block_diag, columns_at_units, mul_rows, rank_of_rows, rows_at_units
+from .gf2 import F2Matrix, block_diag, mul_rows, rank_of_rows, rows_at_units
 from .intervals import Interval, hom_dim
 
 
@@ -287,12 +291,7 @@ def canonical_morphism(source: Interval, target: Interval, n: int) -> RepMorphis
     return morphism_between_sums(n, [source], [target], {(0, 0): 1})
 
 
-# Memos (module docstring).  The n = 4 and n = 5 sweeps have 277 and 286
-# distinct squares of each kind, so 4096 leaves room for the random maps of
-# the tests, and 1,203 and 3,883 distinct kernel and cokernel
-# representations, so the 8192 of ``_from_maps`` and ``barcode`` holds either.
-@lru_cache(maxsize=4096)
-def _sub_square(basis_of, block: F2Matrix, next_block: F2Matrix, arrow: F2Matrix) -> F2Matrix:
+def _induced(basis_of, block: F2Matrix, next_block: F2Matrix, arrow: F2Matrix) -> F2Matrix:
     """The map that ``arrow`` induces between the spans of ``basis_of`` of two neighbouring blocks.
 
     ``basis_of`` is ``F2Matrix.kernel_basis`` or ``F2Matrix.column_space``,
@@ -300,18 +299,26 @@ def _sub_square(basis_of, block: F2Matrix, next_block: F2Matrix, arrow: F2Matrix
     map is read off those rows of the arrow applied to the next basis
     (module docstring).
     """
-    return _interned(rows_at_units(*basis_of(block), arrow @ basis_of(next_block)[0]))
+    return rows_at_units(*basis_of(block), arrow @ basis_of(next_block)[0])
+
+
+# Memos (module docstring).  The n = 4 and n = 5 sweeps have 277 and 286
+# distinct squares of each kind, so 4096 leaves room for the random maps of
+# the tests, and 1,203 and 3,883 distinct kernel and cokernel
+# representations, so the 8192 of ``_from_maps`` and ``barcode`` holds either.
+@lru_cache(maxsize=4096)
+def _sub_square(basis_of, block: F2Matrix, next_block: F2Matrix, arrow: F2Matrix) -> F2Matrix:
+    return _interned(_induced(basis_of, block, next_block, arrow))
 
 
 @lru_cache(maxsize=4096)
 def _quotient_square(block: F2Matrix, next_block: F2Matrix, arrow: F2Matrix) -> F2Matrix:
     """The map that ``arrow`` induces between the cokernels of two neighbouring blocks.
 
-    Each left-kernel basis is the identity on its unit columns, so the
-    induced map is read off the previous basis applied to the arrow
-    (module docstring).
+    It is the transpose of the kernel square of the transposes (module docstring).
     """
-    return _interned(columns_at_units(*next_block.left_kernel_basis(), block.left_kernel_basis()[0] @ arrow))
+    dual = _induced(F2Matrix.kernel_basis, next_block.transpose(), block.transpose(), arrow.transpose())
+    return _interned(dual.transpose())
 
 
 @lru_cache(maxsize=8192)
@@ -339,7 +346,7 @@ def cokernel_rep(f: RepMorphism) -> Representation:
     """Vertexwise cokernel with the induced arrow maps."""
     blocks = f.blocks
     maps = tuple(_quotient_square(blocks[k], blocks[k + 1], f.target.maps[k]) for k in range(f.n - 1))
-    return _from_maps(maps, maps[-1].ncols if maps else blocks[0].left_kernel_basis()[0].nrows)
+    return _from_maps(maps, maps[-1].ncols if maps else blocks[0].transpose().kernel_basis()[0].ncols)
 
 
 def image_rep(f: RepMorphism) -> Representation:

@@ -210,28 +210,34 @@ calls = [
     ["check", "--ops", "E", "--n", "2", "--set", "1,1;2,2"],
     ["count", "--ops", "CK", "--n", "3", "--algorithm", "brute"],
     ["lattice", "--ops", "QE", "--n", "3", "--format", "json"],
+    ["poset", "--file", sys.argv[1], "--checks", "chain"],
 ]
 report = []
 for argv in calls:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(argv)
-    report.append([code, out.getvalue(), "numpy" in sys.modules])
+    loaded = [name in sys.modules for name in ("numpy", "intervalcat.oracle", "intervalcat.gf2")]
+    report.append([code, out.getvalue(), loaded])
 print(json.dumps(report))
 """
 
 
-def test_only_the_sweep_and_lattice_import_numpy():
-    # a fresh process: the test process has numpy loaded already
+def test_only_the_sweep_and_lattice_import_numpy(tmp_path):
+    # a fresh process: the test process has numpy and the oracle loaded already
+    f = tmp_path / "chain.poset"
+    f.write_text("a <= b\nb <= c\n", encoding="utf-8")
     proc = subprocess.run(
-        [sys.executable, "-c", _NUMPY_PROBE], capture_output=True, text=True, env=_fresh_env(), timeout=60
+        [sys.executable, "-c", _NUMPY_PROBE, str(f)], capture_output=True, text=True, env=_fresh_env(), timeout=60
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
-    assert [code for code, _, _ in report] == [0] * 6
-    assert [loaded for _, _, loaded in report] == [False, False, False, False, True, True]
+    assert [code for code, _, _ in report] == [0] * 7
+    # numpy, oracle, gf2 after each call: only the chain check loads the oracle
+    assert [loaded for _, _, loaded in report] == [[False] * 3] * 4 + [[True, False, False]] * 2 + [[True] * 3]
     assert report[4][1] == "22\n"
     assert len(json.loads(report[5][1])["members"]) == 14
+    assert "chain_equivalence = true\n" in report[6][1]
 
 
 def test_posets_imports_no_module_representation():

@@ -26,7 +26,7 @@ from intervalcat.counting import (
     sequence,
 )
 from intervalcat.errors import CapExceeded
-from intervalcat.intervals import IntervalSet, _iter_bits, hom_dim, universe_size
+from intervalcat.intervals import IntervalSet, _iter_bits, all_intervals, hom_dim, universe_size
 from intervalcat.oracle import barcode, cokernel_rep, morphism_between_sums
 
 from helpers import all_specs, closed_masks, hasse_covers
@@ -437,6 +437,53 @@ def test_duality_of_counts():
     for n in (2, 3, 4):
         for s in all_specs():
             assert count_next_closure(n, s) == count_next_closure(n, s.dual()), str(s)
+
+
+def _linked_cover_counts(spec: ClosureSpec, n_max: int, gap: int) -> list[int]:
+    """g(1..n_max): the non-empty closed sets at n = m that form one linked class covering [1, m].
+
+    Two intervals are linked when they overlap or, with gap 1, are adjacent.
+    In order of start, each interval must start at most ``gap`` past the
+    furthest end before it, and the first at 1.
+    """
+    g = []
+    for m in range(1, n_max + 1):
+        ivs = all_intervals(m)
+        linked = 0
+        for mask in counting.closed_masks(m, spec):
+            reach = 1 - gap
+            for x in sorted((ivs[i] for i in _iter_bits(mask)), key=lambda x: x.a):
+                if x.a > reach + gap:
+                    break
+                reach = max(reach, x.b)
+            else:
+                linked += mask != 0 and reach == m
+        g.append(linked)
+    return g
+
+
+def test_counts_factor_over_linked_components_all_specs():
+    # Every rule lies in one linked class, so a set is closed iff each linked
+    # component is; the components occupy disjoint vertex segments, with a
+    # vertex left uncovered between them when adjacency links.  With g the
+    # counts of one linked class covering [1, m] and f(0) = f(-1) = 1:
+    #   with adjacency, f(n) = f(n-1) + sum_m g(m) f(n-m-1), for every spec;
+    #   overlap only,   f(n) = f(n-1) + sum_m g(m) f(n-m), for the specs without E.
+    n_max = 5  # n = 6 would walk the empty spec's 2^21 closed sets
+    rows = {}
+    for s in all_specs():
+        f = {-1: 1, 0: 1, **dict(enumerate(sequence(s, n_max), start=1))}
+        for gap in (1, 0) if "E" not in s.flags else (1,):
+            g = _linked_cover_counts(s, n_max, gap)
+            rows[str(s), gap] = g
+            for n in range(1, n_max + 1):
+                rest = sum(g[m - 1] * f[n - m - gap] for m in range(1, n + 1))
+                assert f[n] == f[n - 1] + rest, (str(s), gap, n)
+    # primitive rows of known sequences: Schroeder numbers large (overlap) and
+    # little (A001003, adjacency) for CK, indecomposable permutations (A003319) for Q
+    assert rows["CK", 0] == [1, 2, 6, 22, 90]
+    assert rows["CK", 1] == [1, 3, 11, 45, 197]
+    assert rows["Q", 1] == [1, 3, 13, 71, 461]
 
 
 class TestLattice:
