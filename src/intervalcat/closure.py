@@ -71,6 +71,16 @@ applies only with C or K in F, so with neither Q nor S, where R4
 generates the two-summand extensions.  No skipped rule is derived from
 itself.
 
+Generation walks the endpoint ranges where rules exist, for x = [a, b] in
+index order, and builds no Interval: [c, d] is bit d(d-1)/2 + c - 1.  Q
+concludes [c, b] for a < c <= b, one run of layer b; S concludes [a, d]
+for d < b.  E takes the upper terms [a', b'] with a < a' <= b + 1 and
+b < b' to [a, b'], plus [a', b] when a' <= b and R4 allows it.  C takes
+the targets [c, d] with a <= c <= b <= d in index order, c = a only under
+R3, to [b+1, d], and under R1 each with every [c', d'] with a <= c' < c
+and d < d', to [c, d'] as well; K is the dual.  A test checks the list,
+order included, against one read off the endpoint formulas pair by pair.
+
 These bounds are what the acceptance suite's oracle certificate relies on:
 for n <= 5 it compares the C and CK closed families with those of Horn
 rules read off the GF(2) oracle for every map with one source and at most
@@ -87,11 +97,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
-from .intervals import (
-    Interval,
-    IntervalSet,
+from .intervals import IntervalSet, universe_size
+from .intervals import (  # noqa: F401  unused here, but bench/tracing.py wraps these bindings
     all_intervals,
     cokernel_pair,
     cokernel_single,
@@ -165,72 +174,69 @@ def _essential_flags(spec: ClosureSpec) -> frozenset:
     return frozenset(flags)
 
 
-def _strictly_nested(u: Interval, v: Interval) -> bool:
-    return (u.a < v.a and v.b < u.b) or (v.a < u.a and u.b < v.b)
-
-
 def rule_instances(n: int, spec: ClosureSpec) -> list[tuple[int, int]]:
     """A finite rule set whose closure operator is that of (n, spec).
 
     Only the instances the module docstring's reductions leave are
-    generated.  Conclusions among the premises and zero objects are
-    dropped, instances left with no conclusions are omitted, and instances
-    with equal premises are merged, whatever their operations.
+    generated, by walking the endpoint ranges where each rule exists.
+    Conclusions never meet premises, and instances with equal premises are
+    merged, whatever their operations.
     """
-    ivs = all_intervals(n)
+    universe_size(n)
     flags = _essential_flags(spec)
     merged: dict[int, int] = {}
 
-    def add(prem: int, conclusions: Iterable[Interval]) -> None:
-        conc = 0
-        for y in conclusions:
-            conc |= 1 << y.index
-        conc &= ~prem
-        if conc:
-            merged[prem] = merged.get(prem, 0) | conc
+    def add(prem: int, conc: int) -> None:
+        merged[prem] = merged.get(prem, 0) | conc
 
+    # Interval [a, b] has canonical index b(b-1)/2 + a - 1, so row[b] + a.
+    row = [b * (b - 1) // 2 - 1 for b in range(n + 2)]
+    xs = [(a, b, 1 << row[b] + a) for b in range(1, n + 1) for a in range(1, b + 1)]
     if "Q" in flags:
-        for i, x in enumerate(ivs):
-            add(1 << i, quotients(x))
+        for a, b, x in xs:
+            if a < b:
+                add(x, ((1 << b - a) - 1) << row[b] + a + 1)
     if "S" in flags:
-        for i, x in enumerate(ivs):
-            add(1 << i, subobjects(x))
+        for a, b, x in xs:
+            if a < b:
+                add(x, sum(1 << row[d] + a for d in range(a, b)))
     if "E" in flags:
         split_middles = flags.isdisjoint("QS")  # R4
-        for i, lower in enumerate(ivs):
-            for j, upper in enumerate(ivs):
-                middle = ext_middle(upper, lower)
-                if middle is None:
-                    continue
-                y, yp = middle
-                if yp is None:
-                    add(1 << i | 1 << j, [y])
-                elif split_middles:
-                    add(1 << i | 1 << j, [y, yp])
+        for a, b, lower in xs:
+            for bp in range(b + 1, n + 1):
+                y = 1 << row[bp] + a
+                if split_middles:
+                    for ap in range(a + 1, b + 1):
+                        add(lower | 1 << row[bp] + ap, y | 1 << row[b] + ap)
+                add(lower | 1 << row[bp] + b + 1, y)
     if "C" in flags:
         any_start = "E" not in flags  # R3
         pairs = flags == {"C"}  # R1
-        for i, x in enumerate(ivs):
-            targets = [(1 << j, y) for j, y in enumerate(ivs) if hom_dim(x, y)]
-            for k, (b1, y1) in enumerate(targets):
-                if any_start or y1.a == x.a:
-                    add(1 << i | b1, cokernel_single(x, y1))
-                if pairs:
-                    for b2, y2 in targets[k + 1:]:
-                        if _strictly_nested(y1, y2):
-                            add(1 << i | b1 | b2, cokernel_pair(x, y1, y2))
+        for a, b, x in xs:
+            for d in range(b, n + 1):
+                coker = 1 << row[d] + b + 1 if d > b else 0
+                for c in range(a, b + 1 if any_start else a + 1):
+                    y1 = x | 1 << row[d] + c
+                    if coker:
+                        add(y1, coker)
+                    if pairs:
+                        for d2 in range(d + 1, n + 1):
+                            for c2 in range(a, c):
+                                add(y1 | 1 << row[d2] + c2, 1 << row[d2] + c | coker)
     if "K" in flags:
         any_end = "E" not in flags  # R2
         pairs = flags == {"K"}  # R1
-        for i, x in enumerate(ivs):
-            sources = [(1 << j, y) for j, y in enumerate(ivs) if hom_dim(y, x)]
-            for k, (b1, y1) in enumerate(sources):
-                if any_end or y1.b == x.b:
-                    add(b1 | 1 << i, kernel_single(y1, x))
-                if pairs:
-                    for b2, y2 in sources[k + 1:]:
-                        if _strictly_nested(y1, y2):
-                            add(b1 | b2 | 1 << i, kernel_pair(y1, y2, x))
+        for a, b, x in xs:
+            for d in range(a if any_end else b, b + 1):
+                for c in range(1, a + 1):
+                    y1 = x | 1 << row[d] + c
+                    ker = 1 << row[a - 1] + c if c < a else 0
+                    if ker:
+                        add(y1, ker)
+                    if pairs:
+                        for d2 in range(d + 1, b + 1):
+                            for c2 in range(1, c):
+                                add(y1 | 1 << row[d2] + c2, 1 << row[d] + c2 | ker)
     return list(merged.items())
 
 

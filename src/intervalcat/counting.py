@@ -39,9 +39,12 @@ and over the subsets L two bitsets: ``up``, the L holding its layer
 premises, and ``viol``, the L in ``up`` lacking one of its layer
 conclusions.  It excludes no L when po is not in X, all of ``up`` when po
 is in X but co is not, and ``viol`` when both are; F(X) is the complement
-of what the rules exclude.  Rules with equal old parts are merged, and the
-bitsets of a level are built, when a run reaches it, from the masks of the
-subsets holding each element of the layer.
+of what the rules exclude.  Each such rule has one premise in the layer,
+or two and no conclusion there, so F(X) is the solution set of a 2-CNF;
+only K, CK, KE and CKE have two, so for the other 28 specs it is a ring of
+sets, closed under union and intersection.  Rules with equal old parts
+are merged, and the bitsets of a level are built, when a run reaches it,
+from the masks of the subsets holding each element of the layer.
 
 A set read at level k is grown, Y | M with Y a state (in the enumeration, a
 parent) below layer k and M a subset of layer k, the layer just added.  By

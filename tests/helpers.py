@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import random
 from itertools import combinations_with_replacement
+from typing import Iterable
 
 import numpy as np
 
-from intervalcat.closure import FLAG_ORDER, ClosureSpec
+from intervalcat.closure import FLAG_ORDER, ClosureSpec, _essential_flags
 from intervalcat.intervals import (
     Interval,
     IntervalSet,
@@ -193,6 +194,78 @@ def full_rule_instances(n: int, spec: ClosureSpec) -> list[tuple[int, int]]:
                 add([y1, x], kernel_single(y1, x))
                 for y2 in sources[i:]:
                     add([y1, y2, x], kernel_pair(y1, y2, x))
+    return list(merged.items())
+
+
+def _strictly_nested(u: Interval, v: Interval) -> bool:
+    return (u.a < v.a and v.b < u.b) or (v.a < u.a and u.b < v.b)
+
+
+def formula_rule_instances(n: int, spec: ClosureSpec) -> list[tuple[int, int]]:
+    """The reduced rule list of ``closure.rule_instances``, read off the endpoint formulas.
+
+    The reference for the engine's generator, which walks endpoint ranges
+    instead: this one scans every pair of intervals and asks the formulas
+    of ``intervals``, which the oracle tests check, for each rule.  Only
+    the instances the closure docstring's reductions leave are
+    generated.  Conclusions among the premises and zero objects are
+    dropped, instances left with no conclusions are omitted, and instances
+    with equal premises are merged, whatever their operations.
+    """
+    ivs = all_intervals(n)
+    flags = _essential_flags(spec)
+    merged: dict[int, int] = {}
+
+    def add(prem: int, conclusions: Iterable[Interval]) -> None:
+        conc = 0
+        for y in conclusions:
+            conc |= 1 << y.index
+        conc &= ~prem
+        if conc:
+            merged[prem] = merged.get(prem, 0) | conc
+
+    if "Q" in flags:
+        for i, x in enumerate(ivs):
+            add(1 << i, quotients(x))
+    if "S" in flags:
+        for i, x in enumerate(ivs):
+            add(1 << i, subobjects(x))
+    if "E" in flags:
+        split_middles = flags.isdisjoint("QS")  # R4
+        for i, lower in enumerate(ivs):
+            for j, upper in enumerate(ivs):
+                middle = ext_middle(upper, lower)
+                if middle is None:
+                    continue
+                y, yp = middle
+                if yp is None:
+                    add(1 << i | 1 << j, [y])
+                elif split_middles:
+                    add(1 << i | 1 << j, [y, yp])
+    if "C" in flags:
+        any_start = "E" not in flags  # R3
+        pairs = flags == {"C"}  # R1
+        for i, x in enumerate(ivs):
+            targets = [(1 << j, y) for j, y in enumerate(ivs) if hom_dim(x, y)]
+            for k, (b1, y1) in enumerate(targets):
+                if any_start or y1.a == x.a:
+                    add(1 << i | b1, cokernel_single(x, y1))
+                if pairs:
+                    for b2, y2 in targets[k + 1:]:
+                        if _strictly_nested(y1, y2):
+                            add(1 << i | b1 | b2, cokernel_pair(x, y1, y2))
+    if "K" in flags:
+        any_end = "E" not in flags  # R2
+        pairs = flags == {"K"}  # R1
+        for i, x in enumerate(ivs):
+            sources = [(1 << j, y) for j, y in enumerate(ivs) if hom_dim(y, x)]
+            for k, (b1, y1) in enumerate(sources):
+                if any_end or y1.b == x.b:
+                    add(b1 | 1 << i, kernel_single(y1, x))
+                if pairs:
+                    for b2, y2 in sources[k + 1:]:
+                        if _strictly_nested(y1, y2):
+                            add(b1 | b2 | 1 << i, kernel_pair(y1, y2, x))
     return list(merged.items())
 
 

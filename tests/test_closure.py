@@ -19,6 +19,7 @@ from intervalcat.closure import (
 from intervalcat.intervals import (
     Interval,
     IntervalSet,
+    _layer_masks,
     all_intervals,
     ext_middle,
     interval_from_index,
@@ -35,6 +36,7 @@ from intervalcat.oracle import (
 
 from helpers import (
     all_specs,
+    formula_rule_instances,
     full_rule_instances,
     random_morphism_coeffs,
     random_set,
@@ -107,6 +109,33 @@ class TestRuleInstances:
                             if touch and v not in linked:
                                 linked.append(v)
                     assert len(linked) == len(members), (str(spec), n, members)
+
+
+    def test_matches_formula_generator(self):
+        # the endpoint ranges give the formula-read list, in the same order
+        for n in range(1, 13):
+            for spec in all_specs():
+                assert rule_instances(n, spec) == formula_rule_instances(n, spec), (n, str(spec))
+        with pytest.raises(ValueError):
+            rule_instances(0, ClosureSpec.parse("QSCKE"))
+
+    def test_rules_meet_their_top_layer_in_one_premise_or_two(self):
+        # a rule whose premises meet layer k and nothing above has one premise there,
+        # or two and no conclusion there: each layer family is a 2-CNF's solution set
+        two_premise = {}
+        for n in range(1, 10):
+            layers = _layer_masks(n)
+            for spec in all_specs():
+                two = 0
+                for p, c in rule_instances(n, spec):
+                    layer = layers[interval_from_index(p.bit_length() - 1).b - 1]
+                    if (p & layer).bit_count() == 2 and not c & layer:
+                        two += 1
+                    else:
+                        assert (p & layer).bit_count() == 1, (n, str(spec), p, c)
+                if n == 9 and two:
+                    two_premise[str(spec)] = two
+        assert two_premise == {"K": 582, "CK": 120, "KE": 120, "CKE": 120}
 
 
 def _is_closed_by_instances(s: IntervalSet, spec: ClosureSpec) -> bool:
