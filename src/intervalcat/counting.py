@@ -82,6 +82,19 @@ which merges differently (1,430 states against 6,336 at n = 8).  The
 empty spec has no rules, so its family is every subset of the layer and a
 single state carries every set.
 
+The counts factor over linked components.  Every rule's premises and
+conclusions form one linked class (see ``closure``): linked by overlap
+and, for specs with E, also by adjacency.  So a set is closed exactly when
+each linked component is, and the components cover disjoint vertex
+segments, with an uncovered vertex between two of them when adjacency
+links.  With g(m) the number of closed sets whose linked union is exactly
+[1, m], and f(0) = f(-1) = 1, splitting off the component at vertex 1
+gives f(n) = f(n-1) + sum_{m=1..n} g(m) f(n-m-1) with adjacency, for every
+spec, and f(n) = f(n-1) + sum_{m=1..n} g(m) f(n-m) by overlap alone, for
+the specs without E (``test_counts_factor_over_linked_components_all_specs``
+checks both at n <= 5).  g is read off f, so this is a proof tool, not an
+independent witness of the counts.
+
 Hasse covers of a closed family (``lattice``) are found with bitmaps over
 member indices in one pass over the members in lectic order.  That order is
 a linear extension of inclusion, so the lowest-indexed member strictly

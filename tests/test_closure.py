@@ -112,12 +112,26 @@ class TestRuleInstances:
 
 
     def test_matches_formula_generator(self):
-        # the endpoint ranges give the formula-read list, in the same order
+        # the endpoint ranges give the formula-read rule set, with no premise twice; the
+        # order is not compared, as no closed set, count or layer family depends on it
         for n in range(1, 13):
             for spec in all_specs():
-                assert rule_instances(n, spec) == formula_rule_instances(n, spec), (n, str(spec))
+                rules = rule_instances(n, spec)
+                assert len(rules) == len(dict(rules)), (n, str(spec))
+                assert dict(rules) == dict(formula_rule_instances(n, spec)), (n, str(spec))
         with pytest.raises(ValueError):
             rule_instances(0, ClosureSpec.parse("QSCKE"))
+
+    def test_mirror_of_the_rules_is_the_dual_spec_rules(self):
+        # [a, b] -> [n+1-b, n+1-a] takes the rules of a spec onto those of its dual: E, which is
+        # generated directly, is self-dual, and merging by premise commutes with the mirror
+        for n in range(1, 10):
+            for spec in all_specs():
+                mirrored = {
+                    IntervalSet(n, p).dual().mask: IntervalSet(n, c).dual().mask
+                    for p, c in rule_instances(n, spec)
+                }
+                assert mirrored == dict(rule_instances(n, spec.dual())), (n, str(spec))
 
     def test_rules_meet_their_top_layer_in_one_premise_or_two(self):
         # a rule whose premises meet layer k and nothing above has one premise there,
