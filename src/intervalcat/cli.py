@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 from typing import Iterable
 
 from .closure import ClosureSpec, closure
@@ -273,6 +274,8 @@ def cmd_poset(args: argparse.Namespace) -> int:
     return 0
 
 
+# built once per process: parse_args reads the tree and makes a new namespace per call
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="intervalcat",

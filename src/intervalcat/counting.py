@@ -16,8 +16,11 @@ Three counting paths are kept, each where it serves best.
   merges nothing: a set closed on its first k layers has as children the
   X | L for L in F(X), and the leaves at depth n are the closed sets, in
   lectic order when each family is visited in bit-reversed order of L, an
-  order kept once per level and family.  The leaves of each parent at depth
-  n - 1 come as one group (``closed_groups``; ``closed_masks`` flattens).
+  order kept once per level and family.  Each node carries F(X), read by
+  its parent in the step of the transfer: the parent settles its rules
+  once, then reads each child's family.  The leaves of each parent at
+  depth n - 1 come as one group (``closed_groups``; ``closed_masks``
+  flattens).
   It is the engine of ``list`` and ``lattice`` and the second algorithm
   that the layer transfer is compared with; the CLI keeps the name
   ``next-closure`` for it because its stream is that of Next-Closure.  The
@@ -136,21 +139,17 @@ def _lectic_masks(table: RuleTable) -> Iterator[tuple[int, tuple[int, ...]]]:
     The lectic order is induced by the canonical interval index: of two
     sets, the one holding their lowest differing index comes later.  A node
     of the walk at depth d is a set X closed on its first d layers, the root
-    the empty set; its children are the X | L for L in F(X).  F(X) is read
-    as in the transfer: the read of level d for the last layer of X
-    (``_layer_reads``, shared by all parents) masked by the rules that are
-    not layer-local, which the parent of X settled once for all its
-    children (``_settle``); X carries its last layer on the stack.  F(X)
+    the empty set; its children are the X | L for L in F(X).  Each node
+    carries F(X), which its parent read as the transfer reads a grown set:
+    the parent settles the rules of the next level that are not
+    layer-local once for all its children (``_settle``), then reads each
+    child's family off the read of that level for the child's last layer
+    (``_layer_reads``, shared by all parents), with no ``_layer_family``
+    call when the settle left no rule open, as for E, CE, KE and CKE.  The
+    root's family is a read, as level 0 has only layer-local rules.  F(X)
     always holds the empty layer, so every path reaches depth n, and the
-    leaves are exactly the closed sets.  Nothing is merged and no closure
-    is made.
-
-    The last level is read inline: a node at depth n - 2 settles the last
-    level's rules once, then reads the family of each child in turn and
-    yields its group, so no parent at depth n - 1 goes on the stack.  When
-    the settle leaves no rule open, as for E, CE, KE and CKE, that family
-    is the read for the child's last layer less the settled exclusions,
-    with no ``_layer_family`` call.
+    leaves are exactly the closed sets: a node at depth n - 1 yields its
+    group.  Nothing is merged and no closure is made.
 
     Layer d holds the indices below those of layer d + 1, so the lowest
     index where two leaves differ lies in their first differing layer, and
@@ -178,26 +177,21 @@ def _lectic_masks(table: RuleTable) -> Iterator[tuple[int, tuple[int, ...]]]:
         layers = orders[level][family] = tuple([layer << shift for layer in rising])
         return layers
 
-    if last == 0:
-        yield 0, ordered(0, reads[0][0])
-        return
-    read, order = reads[last], orders[last]
-    # (depth, X, last layer of X in place, rules of that level settled by the parent of X),
-    # for depths up to n - 2
-    stack = [(0, 0, 0, 0, rests[0])]
+    # (depth, X, F(X)), F(X) read by the parent of X; rests[0] is empty, so the root's is a read
+    stack = [(0, 0, reads[0][0])]
     while stack:
-        level, x, top, forced, live = stack.pop()
-        family = _layer_family(reads[level][top], forced, live, x)
+        level, x, family = stack.pop()
         layers = orders[level].get(family) or ordered(level, family)
-        level += 1
-        forced, live = _settle(rests[level], x, (1 << level * (level - 1) // 2) - 1)
-        if level < last:
-            stack.extend([(level, x | top, top, forced, live) for top in reversed(layers)])
+        if level == last:
+            yield x, layers
             continue
-        for top in layers:
+        level += 1
+        read = reads[level]
+        forced, live = _settle(rests[level], x, (1 << level * (level - 1) // 2) - 1)
+        for top in reversed(layers):
             grown = x | top
             family = _layer_family(read[top], forced, live, grown) if live else read[top] & ~forced
-            yield grown, order.get(family) or ordered(last, family)
+            stack.append((level, grown, family))
 
 
 def closed_groups(n: int, spec: ClosureSpec) -> Iterator[tuple[int, tuple[int, ...]]]:
@@ -344,28 +338,30 @@ def _layer_family(base: int, forced: int, live: list[_LayerRule], x: int) -> int
 def _layer_counts(n_max: int, spec: ClosureSpec) -> Iterator[int]:
     """Number of closed sets at n = 1..n_max, by the layer transfer of ``count_layers``.
 
-    Each term is the sum of multiplicity times |F| over the sets grown in
-    its step, so the last step counts its sets without merging them into
-    states that nothing would read.
+    The transfer starts from the empty set as the one state, of
+    multiplicity 1, over an empty layer below layer 0: its family holds only
+    the empty layer, so the first step grows the empty set alone and reads
+    its family over layer 0, and the first term comes out of the same loop
+    as the others.  Each term is the sum of multiplicity times |F| over the
+    sets grown in its step, so the last step counts its sets without
+    merging them into states that nothing would read.
     """
     table = build_table(n_max, spec)
-    reads, _ = _layer_reads(table, 0)
-    states = {reads[0]: [0, 1]}
-    yield sum(mult * family.bit_count() for family, (_, mult) in states.items())
-    for level in range(n_max - 1):
-        last = level + 2 == n_max
-        shift = level * (level + 1) // 2
-        below = (1 << shift) - 1
-        reads, rules = _layer_reads(table, level + 1)
+    # the empty set over the empty layer below layer 0, so no step precedes the loop
+    states = {1: [0, 1]}
+    for level in range(n_max):
+        last = level + 1 == n_max
+        # the layers of the states' families start at shift; the grown sets agree with rep below
+        shift = (level - 1) * level // 2
+        read, rules = _layer_reads(table, level)
         total = 0
         nxt: dict[int, list[int]] = {}
         for family, (rep, mult) in states.items():
-            # the grown sets all agree with rep below the layer just added
-            forced, live = _settle(rules, rep, below)
+            forced, live = _settle(rules, rep, (1 << shift) - 1)
             for layer in _iter_bits(family):
                 top = layer << shift
                 grown = rep | top
-                key = _layer_family(reads[top], forced, live, grown)
+                key = _layer_family(read[top], forced, live, grown) if live else read[top] & ~forced
                 total += mult * key.bit_count()
                 if last:
                     continue

@@ -88,6 +88,21 @@ def test_bad_n_exit_2(capsys):
     assert code == 2
 
 
+def test_consecutive_calls_share_no_parsed_state(capsys):
+    # the parser is built once per process; what one call parses must not reach the next
+    code, out, err = run(capsys, "sequence", "--ops", "QSE", "--n-max", "7", "--verify", "--format", "csv")
+    assert code == 0 and err.startswith("verification skipped")
+    assert run(capsys, "sequence", "--ops", "QSE", "--n-max", "7", "--format", "csv") == (0, out, "")
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--ops", "Q"])
+    assert exc.value.code == 2
+    assert run(capsys, "count", "--n", "0", "--ops", "Q")[0] == 2
+    assert run(capsys, "count", "--n", "2", "--ops", "E") == (0, "7\n", "")
+    # Q has 5,040 closed sets at n = 6, above LATTICE_CAP = 4,096
+    assert run(capsys, "lattice", "--n", "6", "--ops", "Q", "--max-members", "6000", "--format", "json")[0] == 0
+    assert run(capsys, "lattice", "--n", "6", "--ops", "Q")[:2] == (3, "")
+
+
 def test_brute_cap_exit_3(capsys):
     # the sweep's own message, the one that the verification skip line quotes
     code, out, err = run(capsys, "count", "--n", "7", "--ops", "Q", "--algorithm", "brute")
