@@ -32,7 +32,7 @@ Three counting paths are kept, each where it serves best.
   views of the words; it makes no closure calls and shares no kernel with
   the other two.
 
-Each family is read off bitsets, with no closure (``_layer_kernel``).  A
+Each family is read off bitsets, with no closure (``_LayerKernel``).  A
 family is an int with one bit per subset L of layer k+1.  For closed X at
 level k, a rule with all premises in the first k levels concludes there
 and holds in X | L whatever L is, so X | L is closed at level k+1 exactly
@@ -50,19 +50,26 @@ are merged, and the bitsets of a level are built, when a run reaches it,
 from the masks of the subsets holding each element of the layer.
 
 A set read at level k is grown, Y | M with Y a state (in the enumeration, a
-parent) below layer k and M a subset of layer k, the layer just added.  By
-where their old parts lie, the rules of the level are of three kinds:
+parent) below layer k and M a subset of layer k, the layer just added.  One
+mask per level, ``known``, the bits below layer k, on which every grown set
+agrees with Y, sorts the rules of the level by where their old parts lie,
+and the same mask settles them, so the kinds below are those of
+``_LayerKernel`` and of every ``_settle`` call of both engines:
 
-- layer-local: po and co lie in layer k, or are empty.  Such a rule tests
-  only bits of layer k, where Y | M equals M, so it fires and excludes
-  according to M alone; what these rules leave of ``full`` is read once
-  per level and M (``_layer_reads``) and shared by every state and parent.
-- deep: po and co lie below layer k and are not both empty, so Y decides
-  them; they are settled once per state (``_settle``) into one bitset of
-  excluded layers.
-- mixed: po and co together meet both layer k and the layers below it.
-  ``_settle`` drops those whose premises Y lacks and settles those that Y
-  decides; the rest are tested per grown set.
+- layer-local: po and co miss ``known``; they lie in layer k, or are empty.
+  Such a rule tests only bits of layer k, where Y | M equals M, so it fires
+  and excludes according to M alone; what these rules leave of ``full`` is
+  read once per level and M (kernel[M]) and shared by every state and
+  parent.
+- deep: po and co lie in ``known`` and are not both empty, so Y decides
+  them; they are settled on ``known`` once per state (``_settle``) into one
+  bitset of excluded layers.
+- mixed: po and co together meet both layer k and ``known``.  ``_settle``
+  drops those whose premises Y lacks and settles those that Y decides; the
+  rest are tested per grown set.
+
+A settle mask larger than ``known`` would be wrong: it would decide mixed
+rules by the last layer of Y, which differs from child to child.
 
 The per-layer read is exact because F is the complement of a union of the
 rules' exclusions, and a union may be taken over the parts of any split of
@@ -129,7 +136,7 @@ _LOW_BITS = 6
 _WORD = (1 << 64) - 1
 _HOLDS = tuple(sum(1 << p for p in range(64) if p >> j & 1) for j in range(_LOW_BITS))
 
-# (old premises, old conclusions, up, viol): see ``_layer_kernel``
+# (old premises, old conclusions, up, viol): see ``_LayerKernel``
 _LayerRule = tuple[int, int, int, int]
 
 
@@ -141,12 +148,12 @@ def _lectic_masks(table: RuleTable) -> Iterator[tuple[int, tuple[int, ...]]]:
     of the walk at depth d is a set X closed on its first d layers, the root
     the empty set; its children are the X | L for L in F(X).  Each node
     carries F(X), which its parent read as the transfer reads a grown set:
-    the parent settles the rules of the next level that are not
-    layer-local once for all its children (``_settle``), then reads each
-    child's family off the read of that level for the child's last layer
-    (``_layer_reads``, shared by all parents), with no ``_layer_family``
-    call when the settle left no rule open, as for E, CE, KE and CKE.  The
-    root's family is a read, as level 0 has only layer-local rules.  F(X)
+    the parent settles the ``rest`` of the next level's ``_LayerKernel`` on
+    its one mask ``known`` once for all its children (``_settle``), then
+    reads each child's family off kernel[M] for the child's last layer M
+    (shared by all parents), with no ``_layer_family`` call when the settle
+    left no rule open, as for E, CE, KE and CKE.  The root's family is a
+    read, as level 0 has only layer-local rules.  F(X)
     always holds the empty layer, so every path reaches depth n, and the
     leaves are exactly the closed sets: a node at depth n - 1 yields its
     group.  Nothing is merged and no closure is made.
@@ -162,7 +169,7 @@ def _lectic_masks(table: RuleTable) -> Iterator[tuple[int, tuple[int, ...]]]:
     at depth 6 and 233 families among them.
     """
     last = table.n - 1
-    reads, rests = zip(*[_layer_reads(table, level) for level in range(last + 1)])
+    kernels = [_LayerKernel(table, level) for level in range(last + 1)]
     # revs[level][L]: L with its level + 1 bits reversed
     revs = [[0, 1]]
     for _ in range(last):
@@ -177,8 +184,8 @@ def _lectic_masks(table: RuleTable) -> Iterator[tuple[int, tuple[int, ...]]]:
         layers = orders[level][family] = tuple([layer << shift for layer in rising])
         return layers
 
-    # (depth, X, F(X)), F(X) read by the parent of X; rests[0] is empty, so the root's is a read
-    stack = [(0, 0, reads[0][0])]
+    # (depth, X, F(X)), F(X) read by the parent of X; level 0 has no rest, so the root's is a read
+    stack = [(0, 0, kernels[0][0])]
     while stack:
         level, x, family = stack.pop()
         layers = orders[level].get(family) or ordered(level, family)
@@ -186,11 +193,11 @@ def _lectic_masks(table: RuleTable) -> Iterator[tuple[int, tuple[int, ...]]]:
             yield x, layers
             continue
         level += 1
-        read = reads[level]
-        forced, live = _settle(rests[level], x, (1 << level * (level - 1) // 2) - 1)
+        kernel = kernels[level]
+        forced, live = _settle(kernel.rest, x, kernel.known)
         for top in reversed(layers):
             grown = x | top
-            family = _layer_family(read[top], forced, live, grown) if live else read[top] & ~forced
+            family = _layer_family(kernel[top], forced, live, grown) if live else kernel[top] & ~forced
             stack.append((level, grown, family))
 
 
@@ -214,8 +221,8 @@ def count_next_closure(n: int, spec: ClosureSpec) -> int:
     return sum(len(tops) for _, tops in closed_groups(n, spec))
 
 
-def _layer_kernel(table: RuleTable, level: int) -> tuple[int, list[_LayerRule]]:
-    """The family bitsets of a level: ``full`` and the rules (po, co, up, viol).
+class _LayerKernel(dict):
+    """The family bitsets of a level, its rules split by one mask ``known``; kernel[M] reads M.
 
     A family is an int with one bit per subset L of layer level + 1, whose
     elements are given relative to the first index of the layer; ``full``
@@ -224,79 +231,66 @@ def _layer_kernel(table: RuleTable, level: int) -> tuple[int, list[_LayerRule]]:
     module docstring).  Each is split into its old part, the premises po and
     conclusions co below the layer, and two bitsets: ``up``, the L holding
     its layer premises, and ``viol``, the L in ``up`` lacking one of its
-    layer conclusions.  Rules with equal old parts are merged.  The rules
-    come unsplit; ``_layer_reads`` sorts them into layer-local ones and the
-    rest.
-    """
-    fixed = level * (level + 1) // 2
-    width = level + 1
-    old = (1 << fixed) - 1
-    full = (1 << (1 << width)) - 1
-    # holds[i]: the L holding element i, blocks of 2^i zeros then 2^i ones
-    holds = [
-        full // ((1 << (2 << i)) - 1) * (((1 << (1 << i)) - 1) << (1 << i)) for i in range(width)
-    ]
-    merged: dict[tuple[int, int], list[int]] = {}
-    for prem, conc in table.rules():
-        layer_prem = prem >> fixed
-        if not layer_prem or layer_prem >> width:
-            continue
-        up = full
-        for i in _iter_bits(layer_prem):
-            up &= holds[i]
-        has = full
-        for i in _iter_bits(conc >> fixed):
-            has &= holds[i]
-        entry = merged.setdefault((prem & old, conc & old), [0, 0])
-        entry[0] |= up
-        entry[1] |= up & ~has
-    return full, [(po, co, up, viol) for (po, co), (up, viol) in merged.items()]
+    layer conclusions.  Rules with equal old parts are merged.
 
-
-class _LayerReads(dict):
-    """reads[M]: ``full`` less what the layer-local rules of a level exclude, M the last layer.
-
-    M is given in place, at the canonical indices of its layer.  Each M is
-    read once, when first asked for, so a level holds at most one family
-    per subset of the layer just added, and only those a run reaches.
+    ``known`` holds the bits below layer ``level``, the one just added below
+    the layer being read.  A merged rule whose old part misses ``known`` is
+    layer-local and goes to ``local``: on a set whose last layer is M it
+    fires and excludes as on M.  The rest, deep and mixed rules, go to
+    ``rest``, which the transfer and the walk settle on ``known`` with
+    ``_settle``; at level 0 ``known`` is empty and every rule is local.
+    kernel[M] is ``full`` less what the local rules exclude, M given in
+    place, at the canonical indices of layer ``level``.  Each M is read once,
+    when first asked for, so a level holds at most one family per subset of
+    the layer just added, and only those a run reaches.
     """
 
-    def __init__(self, full: int, local: list[_LayerRule]):
+    def __init__(self, table: RuleTable, level: int):
         super().__init__()
-        self.full = full
-        self.local = local
+        fixed = level * (level + 1) // 2
+        width = level + 1
+        old = (1 << fixed) - 1
+        known = self.known = (1 << (level - 1) * level // 2) - 1
+        full = self.full = (1 << (1 << width)) - 1
+        # holds[i]: the L holding element i, blocks of 2^i zeros then 2^i ones
+        holds = [
+            full // ((1 << (2 << i)) - 1) * (((1 << (1 << i)) - 1) << (1 << i)) for i in range(width)
+        ]
+        merged: dict[tuple[int, int], list[int]] = {}
+        for prem, conc in table.rules():
+            layer_prem = prem >> fixed
+            if not layer_prem or layer_prem >> width:
+                continue
+            up = full
+            for i in _iter_bits(layer_prem):
+                up &= holds[i]
+            has = full
+            for i in _iter_bits(conc >> fixed):
+                has &= holds[i]
+            entry = merged.setdefault((prem & old, conc & old), [0, 0])
+            entry[0] |= up
+            entry[1] |= up & ~has
+        self.local: list[_LayerRule] = []
+        self.rest: list[_LayerRule] = []
+        for (po, co), (up, viol) in merged.items():
+            (self.rest if (po | co) & known else self.local).append((po, co, up, viol))
 
     def __missing__(self, top: int) -> int:
         family = self[top] = _layer_family(self.full, 0, self.local, top)
         return family
 
 
-def _layer_reads(table: RuleTable, level: int) -> tuple[_LayerReads, list[_LayerRule]]:
-    """The rules of ``_layer_kernel`` of a level: the layer-local ones as reads, and the rest.
-
-    A rule is layer-local when its old premises and old conclusions lie in
-    layer ``level``, the one just added below the layer being read, or are
-    empty; on a set whose last layer is M it fires and excludes as on M
-    (module docstring).  The rest, deep and mixed rules, go to ``_settle``.
-    At level 0 every rule is layer-local, having no old part.
-    """
-    full, rules = _layer_kernel(table, level)
-    deep = (1 << (level - 1) * level // 2) - 1
-    local = [rule for rule in rules if not (rule[0] | rule[1]) & deep]
-    rest = [rule for rule in rules if (rule[0] | rule[1]) & deep]
-    return _LayerReads(full, local), rest
-
-
 def _settle(rules: list[_LayerRule], x: int, known: int) -> tuple[int, list[_LayerRule]]:
-    """Rules of ``_layer_kernel`` for the sets that agree with x on the bits of ``known``.
+    """Rules of a ``_LayerKernel`` for the sets that agree with x on the bits of ``known``.
 
     Returns the L that every such set excludes, from the rules that fire on
     all of them and whose exclusion ``known`` decides, and the rules still
     open.  A rule with an old premise outside x in ``known`` fires on none
-    of them and is dropped.  The transfer and the walk pass the rules that
-    are not layer-local (``_layer_reads``) and settle them once per state
-    or parent: the deep ones are all settled, the mixed ones whose premises
-    x lacks are dropped, and those left open are tested per grown set.
+    of them and is dropped.  The transfer and the walk pass a kernel's
+    ``rest`` and its mask ``known``, the same mask that split the rules,
+    and settle them once per state or parent: the deep ones are all
+    settled, the mixed ones whose premises x lacks are dropped, and those
+    left open are tested per grown set.
     """
     miss = known & ~x
     forced = 0
@@ -319,14 +313,14 @@ def _settle(rules: list[_LayerRule], x: int, known: int) -> tuple[int, list[_Lay
 def _layer_family(base: int, forced: int, live: list[_LayerRule], x: int) -> int:
     """``base`` less the L that ``forced`` and the ``live`` rules exclude for the set x.
 
-    With ``base`` = ``full``, ``forced`` = 0 and every rule of
-    ``_layer_kernel`` live, this is F(x) = full & ~OR, over the rules whose
-    old premises lie in x, of ``viol`` when their old conclusions lie in x
-    too and ``up`` otherwise.  The transfer and the walk pass the read of
-    the layer-local rules for the last layer of x as ``base`` and the
-    result of ``_settle`` on the rest, for a set that agrees with x on
-    ``known``; the exclusions of a split of the rules add up, so that is
-    the same F(x).
+    With ``base`` = ``full``, ``forced`` = 0 and every rule of a
+    ``_LayerKernel`` live (``local`` + ``rest``), this is F(x) = full & ~OR,
+    over the rules whose old premises lie in x, of ``viol`` when their old
+    conclusions lie in x too and ``up`` otherwise.  The transfer and the
+    walk pass kernel[M], the read of the layer-local rules for the last
+    layer M of x, as ``base`` and the result of ``_settle`` on the kernel's
+    ``rest`` and ``known``, for a set that agrees with x on ``known``; the
+    exclusions of a split of the rules add up, so that is the same F(x).
     """
     bad = forced
     for po, co, up, viol in live:
@@ -353,15 +347,15 @@ def _layer_counts(n_max: int, spec: ClosureSpec) -> Iterator[int]:
         last = level + 1 == n_max
         # the layers of the states' families start at shift; the grown sets agree with rep below
         shift = (level - 1) * level // 2
-        read, rules = _layer_reads(table, level)
+        kernel = _LayerKernel(table, level)
         total = 0
         nxt: dict[int, list[int]] = {}
         for family, (rep, mult) in states.items():
-            forced, live = _settle(rules, rep, (1 << shift) - 1)
+            forced, live = _settle(kernel.rest, rep, kernel.known)
             for layer in _iter_bits(family):
                 top = layer << shift
                 grown = rep | top
-                key = _layer_family(read[top], forced, live, grown) if live else read[top] & ~forced
+                key = _layer_family(kernel[top], forced, live, grown) if live else kernel[top] & ~forced
                 total += mult * key.bit_count()
                 if last:
                     continue

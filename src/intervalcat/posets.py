@@ -116,14 +116,16 @@ def _cycle_through(i: int, pairs: Sequence[tuple[int, int]], elems: Sequence[Has
 
 
 def ideals(p: FinitePoset, within: Optional[int] = None) -> tuple[int, ...]:
-    """All downward closed subsets of ``within`` as element bitmasks, by size then value.
+    """All downward closed subsets of ``within`` as element bitmasks, in discovery order.
 
     ``within`` must be down-closed, and defaults to every element; its
     ideals are those of the sub-poset on it, so ``ideals(p, p.down[i])``
     are the ideals below element i.  Processes the elements of ``within``
     along a linear extension: an ideal either omits the new element or
-    contains it together with its strict lower set.  More than
-    ``IDEAL_CAP`` ideals raise CapExceeded.
+    contains it together with its strict lower set.  The ideals come in
+    the order they are found: the empty one first, then, for each element
+    of the extension in turn, the ideals that add it to those found so
+    far.  More than ``IDEAL_CAP`` ideals raise CapExceeded.
     """
     if within is None:
         within = (1 << len(p)) - 1
@@ -136,7 +138,6 @@ def ideals(p: FinitePoset, within: Optional[int] = None) -> tuple[int, ...]:
         masks.extend(grown)
         if len(masks) > IDEAL_CAP:
             raise CapExceeded(f"more than {IDEAL_CAP} ideals")
-    masks.sort(key=lambda m: (m.bit_count(), m))
     return tuple(masks)
 
 

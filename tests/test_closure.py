@@ -52,6 +52,8 @@ class TestClosureSpec:
         assert ClosureSpec.parse("QQ") == ClosureSpec.parse("Q")
         with pytest.raises(ValueError):
             ClosureSpec.parse("QX")
+        with pytest.raises(ValueError, match=r"unknown operation flags \['X'\]"):
+            ClosureSpec(frozenset({"X"}))
 
     def test_dual(self):
         assert str(ClosureSpec.parse("QE").dual()) == "SE"

@@ -13,8 +13,7 @@ from intervalcat.cli import main
 from intervalcat.closure import ClosureSpec, build_table
 from intervalcat.counting import (
     _layer_family,
-    _layer_kernel,
-    _layer_reads,
+    _LayerKernel,
     _lectic_masks,
     _settle,
     count_brute,
@@ -200,19 +199,18 @@ def _layer_start(level: int) -> int:
     return level * (level + 1) // 2
 
 
-def _split_families(reads, rest, level: int, x: int) -> list[int]:
+def _split_families(kernel, level: int, x: int) -> list[int]:
     """F(x) read split: the layer-local read of the last layer of x, masked by the settled rest.
 
-    ``reads`` and ``rest`` are those of ``_layer_reads`` for the level,
-    shared by every x as in the transfer and the walk.  The rest is settled
-    on the bits below the last layer of x, as those settle it, and on every
-    bit of x.
+    ``kernel`` is the ``_LayerKernel`` of the level, shared by every x as in
+    the transfer and the walk.  The rest is settled on ``kernel.known``, the
+    bits below the last layer of x, as those settle it, and on every bit of
+    x.
     """
-    start = _layer_start(level - 1)
-    top = x & ~((1 << start) - 1)
+    top = x & ~((1 << _layer_start(level - 1)) - 1)
     return [
-        _layer_family(reads[top], *_settle(rest, x, known), x)
-        for known in ((1 << start) - 1, (1 << _layer_start(level)) - 1)
+        _layer_family(kernel[top], *_settle(kernel.rest, x, known), x)
+        for known in (kernel.known, (1 << _layer_start(level)) - 1)
     ]
 
 
@@ -232,8 +230,8 @@ def test_layer_kernel_equals_direct_check_all_specs():
         table = build_table(n, s)
         for level in range(n):
             fixed = _layer_start(level)
-            full, rules = _layer_kernel(table, level)
-            reads, rest = _layer_reads(table, level)
+            kernel = _LayerKernel(table, level)
+            full, rules = kernel.full, kernel.local + kernel.rest
             closed = _swept_closed_masks(level, s) if level else [0]
             for x in closed:
                 want = sum(
@@ -245,7 +243,7 @@ def test_layer_kernel_equals_direct_check_all_specs():
                 for known in ((1 << _layer_start(level - 1)) - 1, (1 << fixed) - 1):
                     got = _layer_family(full, *_settle(rules, x, known), x)
                     assert got == want, (str(s), level, x, known)
-                got = _split_families(reads, rest, level, x)
+                got = _split_families(kernel, level, x)
                 assert got == [want, want], (str(s), level, x)
 
 
@@ -269,7 +267,7 @@ def test_split_read_equals_direct_check_on_random_rules():
             closed = [0]
             for level in range(n):
                 fixed = _layer_start(level)
-                reads, rest = _layer_reads(table, level)
+                kernel = _LayerKernel(table, level)
                 grown = closed_masks(level + 1, premises)
                 for x in closed:
                     want = sum(
@@ -277,24 +275,28 @@ def test_split_read_equals_direct_check_on_random_rules():
                         for layer in range(1 << (level + 1))
                         if x | (layer << fixed) in grown
                     )
-                    got = _split_families(reads, rest, level, x)
+                    got = _split_families(kernel, level, x)
                     assert got == [want, want], (rules, level, x)
                 closed = grown
 
 
 def test_layer_split_is_a_partition_all_specs():
-    """The layer-local rules and the rest are together exactly the unsplit rules of each level."""
+    """``known`` is the bits below the layer just added, and it classifies every rule of each level.
+
+    The layer-local rules have their old parts in that layer or empty, the
+    rest reach below it; no old part reaches the layer being read.
+    """
     n = 7
     for s in all_specs():
         table = build_table(n, s)
         for level in range(n):
-            full, rules = _layer_kernel(table, level)
-            reads, rest = _layer_reads(table, level)
-            assert reads.full == full, (str(s), level)
-            assert sorted(reads.local + rest) == sorted(rules), (str(s), level)
-            layer = (1 << _layer_start(level)) - (1 << _layer_start(level - 1))
-            assert all(not (po | co) & ~layer for po, co, _, _ in reads.local), (str(s), level)
-            assert all((po | co) & ~layer for po, co, _, _ in rest), (str(s), level)
+            kernel = _LayerKernel(table, level)
+            known = kernel.known
+            assert known == (1 << _layer_start(level - 1)) - 1, (str(s), level)
+            old = (1 << _layer_start(level)) - 1
+            assert all(not (po | co) & ~old for po, co, _, _ in kernel.local + kernel.rest), (str(s), level)
+            assert all(not (po | co) & known for po, co, _, _ in kernel.local), (str(s), level)
+            assert all((po | co) & known for po, co, _, _ in kernel.rest), (str(s), level)
 
 
 def test_closed_count_matches_oracle_closedness_semantics():
@@ -359,11 +361,11 @@ def test_layer_states_are_sufficient():
         if not s.flags:
             continue
         table = build_table(n, s)
-        kernels = [_layer_kernel(table, level) for level in range(n)]
+        kernels = [_LayerKernel(table, level) for level in range(n)]
 
         def family(level: int, x: int) -> int:
-            full, rules = kernels[level]
-            return _layer_family(full, 0, rules, x)
+            kernel = kernels[level]
+            return _layer_family(kernel.full, 0, kernel.local + kernel.rest, x)
 
         closed = [0]
         for level in range(n - 1):
@@ -386,7 +388,8 @@ def test_empty_spec_family_is_every_layer_subset():
     # and one state carries every closed set: nothing for the sufficiency test to check
     table = build_table(4, spec(""))
     for level in range(4):
-        full, rules = _layer_kernel(table, level)
+        kernel = _LayerKernel(table, level)
+        full, rules = kernel.full, kernel.local + kernel.rest
         assert full == (1 << (1 << (level + 1))) - 1 and not rules
         for x in (0, (1 << _layer_start(level)) - 1):
             assert _layer_family(full, 0, rules, x) == full
@@ -410,9 +413,11 @@ def test_reference_sequence():
     assert reference_sequence(spec("CS"), 5) == 132
     assert reference_sequence(spec("QKE"), 5) == 32
     assert reference_sequence(spec("SCKE"), 6) == 64
+    with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+        reference_sequence(spec("Q"), 0)
 
 
-def test_sequence_reports():
+def test_sequence_reports(monkeypatch):
     assert sequence(spec("QE"), 5) == (2, 5, 14, 42, 132)
     assert sequence(spec("QE"), 5, algorithm="next-closure") == (2, 5, 14, 42, 132)
     assert sequence(spec("QSE"), 4, algorithm="brute") == (2, 4, 8, 16)
@@ -421,6 +426,10 @@ def test_sequence_reports():
         sequence(spec("Q"), 0)
     with pytest.raises(ValueError):
         sequence(spec("Q"), 2, algorithm="magic")
+    # the empty and the full set are always closed, so a term of 1 is a fault of the engine
+    monkeypatch.setattr(counting, "_layer_counts", lambda n_max, s: iter([2, 1]))
+    with pytest.raises(AssertionError, match="count 1 below 2 at n=2"):
+        sequence(spec("Q"), 2)
 
 
 def test_counts_monotone_under_more_flags():

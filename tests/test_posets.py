@@ -143,6 +143,17 @@ class TestSubfunctors:
             for i, label in enumerate(p.elements):
                 assert subfunctor_count(p, label) == len(ideals(p, p.down[i]))
 
+    def test_cap(self, monkeypatch):
+        # the supports of a lower set of 3 elements are 2^3, over a cap of 4; 2^2 are not
+        monkeypatch.setattr(posets, "SUBFUNCTOR_CAP", 4)
+        assert subfunctor_count(chain(3), 2) == 3
+        with pytest.raises(CapExceeded, match="lower set of 3 has 2\\^3 supports, cap is 4"):
+            subfunctor_count(chain(3), 3)
+
+    def test_unknown_label(self):
+        with pytest.raises(ValueError, match="unknown element 'z'"):
+            subfunctor_count(DIAMOND_M3, "z")
+
 
 class TestIncidenceAlgebra:
     def test_dimensions(self):
